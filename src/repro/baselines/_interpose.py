@@ -9,27 +9,8 @@ in-allocator guard to avoid double counting).
 from __future__ import annotations
 
 from repro.baselines.base import Profiler
-from repro.memory.shim import DOMAIN_PYTHON, ShimListener
-
-
-class _PyMemWrapper:
-    """PyMem_SetAllocator wrapper feeding an observer callback."""
-
-    def __init__(self, observer, inner, shim) -> None:
-        self._observer = observer
-        self._inner = inner
-        self._shim = shim
-
-    def alloc(self, nbytes: int, thread=None):
-        with self._shim.allocator_guard(thread):
-            handle = self._inner.alloc(nbytes, thread=thread)
-        self._observer.observe(+nbytes, DOMAIN_PYTHON, handle.address, thread)
-        return handle
-
-    def free(self, handle, thread=None) -> None:
-        self._observer.observe(-handle.nbytes, DOMAIN_PYTHON, handle.address, thread)
-        with self._shim.allocator_guard(thread):
-            self._inner.free(handle, thread=thread)
+from repro.memory.hooks import ObservingAllocator
+from repro.memory.shim import ShimListener
 
 
 class AllocationInterposer(Profiler, ShimListener):
@@ -42,12 +23,13 @@ class AllocationInterposer(Profiler, ShimListener):
         super().__init__(process)
         self._saved_allocator = None
         self.event_count = 0
+        self._op_cost = process.vm.config.op_cost
 
     def _install(self) -> None:
         mem = self.process.mem
         mem.shim.add_listener(self)
         self._saved_allocator = mem.hooks.get_allocator()
-        mem.hooks.set_allocator(_PyMemWrapper(self, self._saved_allocator, mem.shim))
+        mem.hooks.set_allocator(ObservingAllocator(self.observe, self._saved_allocator, mem.shim))
 
     def _uninstall(self) -> None:
         mem = self.process.mem
@@ -70,7 +52,7 @@ class AllocationInterposer(Profiler, ShimListener):
     # -- helpers ----------------------------------------------------------
 
     def charge(self, thread, ops: float) -> None:
-        self.process.charge_overhead(thread, ops * self.process.vm.config.op_cost)
+        self.process.charge_overhead(thread, ops * self._op_cost)
 
     def attribution(self, thread):
         from repro.core.attribution import thread_location

@@ -37,6 +37,9 @@ class CopyVolumeProfiler(ShimListener):
         if self._installed:
             raise ProfilerError("copy-volume profiler already installed")
         self._process.mem.shim.add_listener(self)
+        op_cost = self._process.vm.config.op_cost
+        self._hook_cost = self._config.memcpy_hook_cost_ops * op_cost
+        self._sample_cost = self._config.sample_write_cost_ops * op_cost
         self._installed = True
 
     def uninstall(self) -> None:
@@ -48,25 +51,19 @@ class CopyVolumeProfiler(ShimListener):
     # -- shim listener -------------------------------------------------------
 
     def on_memcpy(self, event) -> None:
-        process = self._process
-        config = self._config
-        op_cost = process.vm.config.op_cost
-        process.charge_overhead(event.thread, config.memcpy_hook_cost_ops * op_cost)
+        self._process.charge_overhead(event.thread, self._hook_cost)
         self.event_count += 1
         if self.paused:
             return
         self._counter += event.nbytes
-        rate = config.copy_sampling_rate
+        rate = self._config.copy_sampling_rate
         while self._counter >= rate:
             self._counter -= rate
             self._take_sample(event, rate)
 
     def _take_sample(self, event, nbytes: int) -> None:
         process = self._process
-        op_cost = process.vm.config.op_cost
-        process.charge_overhead(
-            event.thread, self._config.sample_write_cost_ops * op_cost
-        )
+        process.charge_overhead(event.thread, self._sample_cost)
         self.sample_count += 1
         location = thread_location(event.thread, process.profiled_filenames)
         where = f"{location[0]}:{location[1]}" if location else "?"

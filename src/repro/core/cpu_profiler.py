@@ -57,6 +57,9 @@ class CpuProfiler:
         if self._running:
             raise ProfilerError("CPU profiler already started")
         process = self._process
+        op_cost = process.vm.config.op_cost
+        self._handler_cost = self._config.signal_handler_cost_ops * op_cost
+        self._stack_walk_cost = self._config.stack_walk_cost_ops * op_cost
         self._last_wall = process.clock.wall
         self._last_cpu = process.clock.cpu
         self._previous_handler = process.signals.get_handler(SIGALRM)
@@ -90,8 +93,7 @@ class CpuProfiler:
     def _handler(self, signum: int) -> None:
         process = self._process
         config = self._config
-        op_cost = process.vm.config.op_cost
-        process.charge_overhead(process.main_thread, config.signal_handler_cost_ops * op_cost)
+        process.charge_overhead(process.main_thread, self._handler_cost)
 
         now_wall = process.clock.wall
         now_cpu = process.clock.cpu
@@ -128,9 +130,7 @@ class CpuProfiler:
             share_sys = system_t / len(executing)
             cpu_total = python_t + native_t
             for thread in executing:
-                process.charge_overhead(
-                    process.main_thread, config.stack_walk_cost_ops * op_cost
-                )
+                process.charge_overhead(process.main_thread, self._stack_walk_cost)
                 location = thread_location(thread, profiled)
                 if thread.is_main:
                     # Signal-delay inference splits the main thread's share.

@@ -24,6 +24,7 @@ class GpuProfiler:
         self.samples = 0
 
     def start(self) -> None:
+        self._query_cost = self._config.gpu_query_cost_ops * self._process.vm.config.op_cost
         device = self._process.gpu
         if self._config.enable_gpu_per_pid_accounting and not device.per_pid_accounting:
             # "SCALENE offers to enable it" (§4); the simulation accepts.
@@ -36,10 +37,7 @@ class GpuProfiler:
     def sample(self) -> None:
         """Take one GPU sample (called from the CPU signal handler)."""
         process = self._process
-        op_cost = process.vm.config.op_cost
-        process.charge_overhead(
-            process.main_thread, self._config.gpu_query_cost_ops * op_cost
-        )
+        process.charge_overhead(process.main_thread, self._query_cost)
         utilization, memory = process.nvml.snapshot(process.clock.wall, process.pid)
         location = thread_location(process.main_thread, process.profiled_filenames)
         self._stats.record_gpu(location, utilization, memory)

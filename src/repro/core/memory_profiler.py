@@ -29,32 +29,9 @@ from repro.core.config import ScaleneConfig
 from repro.core.leak_detector import LeakDetector
 from repro.core.stats import ScaleneStats
 from repro.errors import ProfilerError
+from repro.memory.hooks import ObservingAllocator
 from repro.memory.samplefile import SampleFile
 from repro.memory.shim import DOMAIN_PYTHON, ShimListener
-
-
-class _ScalenePyMemAllocator:
-    """The PyMem_SetAllocator wrapper: observe, then delegate under guard."""
-
-    def __init__(self, profiler: "MemoryProfiler", inner, shim) -> None:
-        self._profiler = profiler
-        self._inner = inner
-        self._shim = shim
-
-    def alloc(self, nbytes: int, thread=None):
-        with self._shim.allocator_guard(thread):
-            handle = self._inner.alloc(nbytes, thread=thread)
-        self._profiler.observe(+nbytes, DOMAIN_PYTHON, handle.address, thread)
-        return handle
-
-    def free(self, handle, thread=None) -> None:
-        self._profiler.observe(-handle.nbytes, DOMAIN_PYTHON, handle.address, thread)
-        with self._shim.allocator_guard(thread):
-            self._inner.free(handle, thread=thread)
-
-    @property
-    def inner(self):
-        return self._inner
 
 
 class MemoryProfiler(ShimListener):
@@ -97,8 +74,15 @@ class MemoryProfiler(ShimListener):
         mem.shim.add_listener(self)
         self._saved_allocator = mem.hooks.get_allocator()
         mem.hooks.set_allocator(
-            _ScalenePyMemAllocator(self, self._saved_allocator, mem.shim)
+            ObservingAllocator(self.observe, self._saved_allocator, mem.shim)
         )
+        # Per-event hook costs, in seconds (same float expressions as the
+        # overhead model's ops x op_cost, computed once).
+        config = self._config
+        op_cost = self._process.vm.config.op_cost
+        self._alloc_cost = config.alloc_hook_cost_ops * op_cost
+        self._free_cost = (config.alloc_hook_cost_ops + config.free_check_cost_ops) * op_cost
+        self._sample_cost = config.sample_write_cost_ops * op_cost
         self._footprint = mem.logical_footprint()
         self._footprint_at_last_sample = self._footprint
         self._installed = True
@@ -127,20 +111,14 @@ class MemoryProfiler(ShimListener):
 
     def observe(self, signed_bytes: int, domain: str, address: int, thread) -> None:
         """One allocation (+) or free (-) event, either domain."""
-        process = self._process
-        config = self._config
-        op_cost = process.vm.config.op_cost
         self.event_count += 1
         if signed_bytes >= 0:
-            process.charge_overhead(thread, config.alloc_hook_cost_ops * op_cost)
+            self._process.charge_overhead(thread, self._alloc_cost)
             self._window_alloc_bytes += signed_bytes
             if domain == DOMAIN_PYTHON:
                 self._window_python_alloc_bytes += signed_bytes
         else:
-            process.charge_overhead(
-                thread,
-                (config.alloc_hook_cost_ops + config.free_check_cost_ops) * op_cost,
-            )
+            self._process.charge_overhead(thread, self._free_cost)
             if self._leaks is not None:
                 # The cheap, highly predictable pointer comparison (§3.4).
                 self._leaks.on_free(address)
@@ -149,14 +127,12 @@ class MemoryProfiler(ShimListener):
             return
 
         delta = self._footprint - self._footprint_at_last_sample
-        if abs(delta) >= config.memory_threshold:
+        if abs(delta) >= self._config.memory_threshold:
             self._take_sample(delta, address, abs(signed_bytes), thread)
 
     def _take_sample(self, delta: int, address: int, trigger_nbytes: int, thread) -> None:
         process = self._process
-        config = self._config
-        op_cost = process.vm.config.op_cost
-        process.charge_overhead(thread, config.sample_write_cost_ops * op_cost)
+        process.charge_overhead(thread, self._sample_cost)
         self.sample_count += 1
 
         if self._window_alloc_bytes > 0:

@@ -991,6 +991,19 @@ def build_profile(
     )
 
 
+def _ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` strictly left to right, as ``sum()`` did before
+    Python 3.12. Since 3.12 ``sum()`` compensates float rounding, which
+    can move the last bit of a total, and the JSON payload keeps every
+    bit: float totals use this so a profile is byte-identical on every
+    supported Python.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _aggregate_functions(
     stats: ScaleneStats, total_cpu: float, elapsed: float
 ) -> List[FunctionReport]:
@@ -1007,7 +1020,7 @@ def _aggregate_functions(
     for (filename, function), group in sorted(grouped.items()):
         gpu_samples = sum(line.gpu_samples for line in group)
         gpu_util = (
-            sum(line.gpu_util_sum for line in group) / gpu_samples
+            _ordered_sum(line.gpu_util_sum for line in group) / gpu_samples
             if gpu_samples
             else 0.0
         )
@@ -1015,11 +1028,11 @@ def _aggregate_functions(
             FunctionReport(
                 filename=filename,
                 function=function,
-                cpu_python_percent=share(sum(l.python_time for l in group)),
-                cpu_native_percent=share(sum(l.native_time for l in group)),
-                cpu_system_percent=share(sum(l.system_time for l in group)),
-                malloc_mb=sum(l.malloc_mb for l in group),
-                copy_mb=sum(l.copy_mb for l in group),
+                cpu_python_percent=share(_ordered_sum(l.python_time for l in group)),
+                cpu_native_percent=share(_ordered_sum(l.native_time for l in group)),
+                cpu_system_percent=share(_ordered_sum(l.system_time for l in group)),
+                malloc_mb=_ordered_sum(l.malloc_mb for l in group),
+                copy_mb=_ordered_sum(l.copy_mb for l in group),
                 gpu_percent=gpu_util,
             )
         )
@@ -1195,14 +1208,14 @@ def merge_profiles(
     if len(profiles) == 1:
         return profiles[0]
 
-    merged_elapsed = sum(p.elapsed for p in profiles)
-    merged_python = sum(p.cpu_python_time for p in profiles)
-    merged_native = sum(p.cpu_native_time for p in profiles)
-    merged_system = sum(p.cpu_system_time for p in profiles)
+    merged_elapsed = _ordered_sum(p.elapsed for p in profiles)
+    merged_python = _ordered_sum(p.cpu_python_time for p in profiles)
+    merged_native = _ordered_sum(p.cpu_native_time for p in profiles)
+    merged_system = _ordered_sum(p.cpu_system_time for p in profiles)
     merged_total_cpu = merged_python + merged_native + merged_system
-    merged_alloc = sum(p.total_alloc_mb for p in profiles)
+    merged_alloc = _ordered_sum(p.total_alloc_mb for p in profiles)
     merged_gpu_samples = sum(p.gpu_samples for p in profiles)
-    gpu_util_weighted = sum(p.gpu_mean_utilization * p.gpu_samples for p in profiles)
+    gpu_util_weighted = _ordered_sum(p.gpu_mean_utilization * p.gpu_samples for p in profiles)
 
     lines: Dict[Tuple[str, int], _LineAccumulator] = {}
     functions: Dict[Tuple[str, str], _FunctionAccumulator] = {}
@@ -1416,7 +1429,7 @@ def merge_profiles(
         cpu_samples=sum(p.cpu_samples for p in profiles),
         mem_samples=sum(p.mem_samples for p in profiles),
         peak_footprint_mb=max(p.peak_footprint_mb for p in profiles),
-        total_copy_mb=sum(p.total_copy_mb for p in profiles),
+        total_copy_mb=_ordered_sum(p.total_copy_mb for p in profiles),
         gpu_mean_utilization=(
             gpu_util_weighted / merged_gpu_samples if merged_gpu_samples else 0.0
         ),
@@ -1432,13 +1445,13 @@ def merge_profiles(
         degraded=any(p.degraded for p in profiles),
         fault_counters=merged_faults,
         total_crossings=sum(p.total_crossings for p in profiles),
-        total_crossing_overhead_s=sum(
+        total_crossing_overhead_s=_ordered_sum(
             p.total_crossing_overhead_s for p in profiles
         ),
         total_bytes_to_native=sum(p.total_bytes_to_native for p in profiles),
         total_bytes_to_python=sum(p.total_bytes_to_python for p in profiles),
         crossflow_findings=crossflow_findings,
-        total_lock_blocked_s=sum(p.total_lock_blocked_s for p in profiles),
+        total_lock_blocked_s=_ordered_sum(p.total_lock_blocked_s for p in profiles),
         total_lock_contentions=sum(p.total_lock_contentions for p in profiles),
         total_lock_acquisitions=sum(p.total_lock_acquisitions for p in profiles),
         lock_edges=sorted(edges.values(), key=lambda e: -e.blocked_s),

@@ -516,12 +516,9 @@ class VM:
         churn_bytes = config.churn_object_bytes
         churn_depth = config.churn_fifo_depth
         fifo = thread.churn
-        # Fast clock path only when the SignalManager is the sole observer;
-        # external samplers (py-spy/Austin baselines) subscribe to the clock
-        # and must see every advance. A fault injector also disables it:
-        # clock-jump faults are decided inside advance_cpu, which the fast
-        # path bypasses.
-        fast_clock = len(clock._observers) <= 1 and clock.faults is None
+        # Fast clock path only when the SignalManager is the sole observer
+        # and no fault injector is attached (see VirtualClock._fast_path).
+        fast_clock = clock._fast_path
         # Tier-1 (trace JIT) state. Traces are only entered on the fast
         # clock path: with a fault injector or external clock observers
         # attached the VM stays on tier 0, so fault schedules and sampler

@@ -4,13 +4,16 @@ Every Python-object allocation the interpreter performs goes through a
 :class:`PyMemHooks` instance. A profiler may *wrap* the current allocator
 (exactly what Scalene does with ``PyMem_SetAllocator``): the wrapper
 observes each request, then delegates to the previous allocator.
+:class:`ObservingAllocator` is that wrapper, shared by Scalene and the
+interposing memory baselines.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Callable, Protocol
 
 from repro.memory.pymalloc import PyAllocation, PyMalloc
+from repro.memory.shim import DOMAIN_PYTHON, AllocatorShim
 
 
 class PyMemAllocator(Protocol):
@@ -56,3 +59,39 @@ class PyMemHooks:
     def pymalloc(self) -> PyMalloc:
         """The underlying default allocator (for statistics)."""
         return self._default
+
+
+class ObservingAllocator:
+    """A ``PyMem_SetAllocator`` wrapper: ``observe(signed_bytes, domain,
+    address, thread)`` sees every allocation (+) after it succeeds and
+    every free (-) before it happens, and the request is delegated to the
+    previous allocator under the shim's in-allocator flag, so the system
+    traffic it causes (arena growth, large-object backing) is not counted
+    twice. The guard is an inline try/finally: a generator context manager
+    per event costs more than the rest of the wrapper.
+    """
+
+    __slots__ = ("_observe", "_inner", "_enter", "_exit")
+
+    def __init__(self, observe: Callable, inner: PyMemAllocator, shim: AllocatorShim) -> None:
+        self._observe = observe
+        self._inner = inner
+        self._enter = shim.enter_allocator
+        self._exit = shim.exit_allocator
+
+    def alloc(self, nbytes: int, thread=None) -> PyAllocation:
+        token = self._enter(thread)
+        try:
+            handle = self._inner.alloc(nbytes, thread=thread)
+        finally:
+            self._exit(token)
+        self._observe(nbytes, DOMAIN_PYTHON, handle.address, thread)
+        return handle
+
+    def free(self, handle: PyAllocation, thread=None) -> None:
+        self._observe(-handle.nbytes, DOMAIN_PYTHON, handle.address, thread)
+        token = self._enter(thread)
+        try:
+            self._inner.free(handle, thread=thread)
+        finally:
+            self._exit(token)

@@ -24,6 +24,9 @@ from repro.memory.sysalloc import Allocation, SystemAllocator
 DOMAIN_PYTHON = "python"
 DOMAIN_NATIVE = "native"
 
+#: enter_allocator's token for a guard nested inside another on its key.
+_NESTED = object()
+
 
 @dataclass
 class AllocEvent:
@@ -102,28 +105,37 @@ class AllocatorShim:
 
     # -- the in-allocator flag ---------------------------------------------------
 
+    def enter_allocator(self, thread=None) -> object:
+        """Set ``thread``'s in-allocator flag; return the token to pass to
+        :meth:`exit_allocator`.
+
+        The flag rule, written once: the key is the thread's ident (None
+        for no thread), and only the outermost guard on a key clears it —
+        a nested enter returns a sentinel that is never a key.
+        """
+        key = getattr(thread, "ident", None)
+        flags = self._in_allocator
+        if key in flags:
+            return _NESTED
+        flags.add(key)
+        return key
+
+    def exit_allocator(self, token: object) -> None:
+        """Undo the :meth:`enter_allocator` that returned ``token``."""
+        self._in_allocator.discard(token)
+
     @contextmanager
     def allocator_guard(self, thread=None) -> Iterator[None]:
-        """Mark ``thread`` as being inside a memory allocator.
-
-        Re-entrant: nested guards on the same thread are counted naively —
-        the outermost guard wins, matching a boolean thread-local flag.
-        """
-        key = self._key(thread)
-        was_set = key in self._in_allocator
-        self._in_allocator.add(key)
+        """Mark ``thread`` as being inside a memory allocator (re-entrant)."""
+        token = self.enter_allocator(thread)
         try:
             yield
         finally:
-            if not was_set:
-                self._in_allocator.discard(key)
+            self.exit_allocator(token)
 
     def in_allocator(self, thread=None) -> bool:
-        return self._key(thread) in self._in_allocator
-
-    @staticmethod
-    def _key(thread) -> object:
-        return getattr(thread, "ident", None) if thread is not None else None
+        """Whether ``thread``'s flag is set (keyed as in enter_allocator)."""
+        return getattr(thread, "ident", None) in self._in_allocator
 
     # -- system allocator surface --------------------------------------------------
 
@@ -174,11 +186,12 @@ class AllocatorShim:
 
     def memcpy(self, nbytes: int, *, thread=None, direction: str = "host") -> None:
         """Record a memcpy of ``nbytes`` (the copy itself is abstract)."""
-        self._publish(
-            "on_memcpy",
-            MemcpyEvent(nbytes=nbytes, thread=thread, wall=self._wall(), direction=direction),
-            thread,
-        )
+        if self._listeners:  # skip event construction on the silent path
+            self._publish(
+                "on_memcpy",
+                MemcpyEvent(nbytes=nbytes, thread=thread, wall=self._wall(), direction=direction),
+                thread,
+            )
 
     # -- python-domain pass-through ---------------------------------------------------
 

@@ -40,14 +40,33 @@ class VirtualClock:
     both invariants hold under any fault schedule.
     """
 
-    __slots__ = ("_wall", "_cpu", "_observers", "faults")
+    __slots__ = ("_wall", "_cpu", "_observers", "_faults", "_fast_path")
 
     def __init__(self) -> None:
         self._wall = 0.0
         self._cpu = 0.0
         self._observers: List[AdvanceCallback] = []
-        #: Optional :class:`repro.faults.FaultInjector` (clock-jump faults).
-        self.faults = None
+        self._faults = None
+        # Whether an advance may skip the observer dispatch (the VM's fast
+        # clock, advance_cpu_inline): the signal manager, subscribed at
+        # process construction, is the only observer, and no fault injector
+        # decides clock jumps. External samplers (py-spy/Austin baselines)
+        # subscribe and must see every advance. Kept current by subscribe,
+        # unsubscribe and the faults setter.
+        self._fast_path = True
+
+    @property
+    def faults(self):
+        """Optional :class:`repro.faults.FaultInjector` (clock-jump faults)."""
+        return self._faults
+
+    @faults.setter
+    def faults(self, injector) -> None:
+        self._faults = injector
+        self._update_fast_path()
+
+    def _update_fast_path(self) -> None:
+        self._fast_path = len(self._observers) <= 1 and self._faults is None
 
     # -- reading -----------------------------------------------------------
 
@@ -66,6 +85,7 @@ class VirtualClock:
     def subscribe(self, callback: AdvanceCallback) -> None:
         """Register ``callback(wall_dt, cpu_dt)`` to fire after advances."""
         self._observers.append(callback)
+        self._update_fast_path()
 
     def unsubscribe(self, callback: AdvanceCallback) -> None:
         """Remove a previously registered observer (no-op if absent)."""
@@ -73,6 +93,7 @@ class VirtualClock:
             self._observers.remove(callback)
         except ValueError:
             pass
+        self._update_fast_path()
 
     # -- advancing ----------------------------------------------------------
 
@@ -86,12 +107,26 @@ class VirtualClock:
         if dt == 0.0:
             return
         wall_dt = dt
-        if self.faults is not None:
-            wall_dt += self.faults.clock_jump()
+        if self._faults is not None:
+            wall_dt += self._faults.clock_jump()
         self._wall += wall_dt
         self._cpu += dt
         for cb in self._observers:
             cb(wall_dt, dt)
+
+    def advance_cpu_inline(self, dt: float, signals) -> None:
+        """:meth:`advance_cpu` for the process's ``signals`` manager, with
+        its observer call inlined on the fast path: advance both clocks and
+        poll ``signals`` only when a cached deadline is crossed. The clock
+        values and timer expirations are those of :meth:`advance_cpu`.
+        """
+        if not self._fast_path or dt <= 0:
+            self.advance_cpu(dt)
+            return
+        cpu = self._cpu = self._cpu + dt
+        wall = self._wall = self._wall + dt
+        if cpu >= signals.cpu_deadline or wall >= signals.wall_deadline:
+            signals.poll()
 
     def advance_wall(self, dt: float) -> None:
         """Wall time passed with no simulated CPU execution (IO wait, idle).
@@ -103,8 +138,8 @@ class VirtualClock:
         if dt == 0.0:
             return
         wall_dt = dt
-        if self.faults is not None:
-            wall_dt += self.faults.clock_jump()
+        if self._faults is not None:
+            wall_dt += self._faults.clock_jump()
         self._wall += wall_dt
         for cb in self._observers:
             cb(wall_dt, 0.0)

@@ -244,11 +244,13 @@ class SimProcess:
         Advances the virtual clocks (so timers keep firing on schedule,
         exactly as real profiler overhead perturbs timing) and books the
         time in the ground truth's overhead bucket rather than to any
-        program line.
+        program line. The charge runs once per profiler hook event, so the
+        clock advance inlines the signal manager's deadline check
+        (:meth:`VirtualClock.advance_cpu_inline`).
         """
         if seconds <= 0:
             return
-        self.clock.advance_cpu(seconds)
+        self.clock.advance_cpu_inline(seconds, self.signals)
         if thread is not None:
             thread.cpu_time += seconds
         if self.ground_truth is not None:

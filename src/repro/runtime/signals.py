@@ -56,6 +56,8 @@ _TIMER_SIGNAL = {
 SignalHandler = Callable[[int], None]
 """Handlers receive the signal number; they inspect the process directly."""
 
+_INF = float("inf")
+
 
 @dataclass
 class _IntervalTimer:
@@ -70,6 +72,11 @@ class SignalManager:
 
     The manager subscribes to the process clock; the interpreter calls
     :meth:`deliver_pending` at bytecode boundaries of the main thread.
+
+    It caches the earliest armed deadline of each time base
+    (:attr:`cpu_deadline`, :attr:`wall_deadline`) and refreshes the cache
+    in every method that changes a timer, so a clock advance that crosses
+    no deadline costs two float compares instead of a timer scan.
     """
 
     def __init__(self, clock) -> None:
@@ -87,6 +94,10 @@ class SignalManager:
         self.collapsed_count = 0
         #: Total signals delivered to handlers.
         self.delivered_count = 0
+        #: Earliest deadline of the armed CPU-time timers (ITIMER_VIRTUAL,
+        #: ITIMER_PROF) and of ITIMER_REAL; ``inf`` when none is armed.
+        self.cpu_deadline = _INF
+        self.wall_deadline = _INF
         clock.subscribe(self._on_advance)
 
     # -- configuration -------------------------------------------------------
@@ -103,9 +114,10 @@ class SignalManager:
             raise SignalError(f"negative timer interval: {interval}")
         if interval == 0:
             self._timers.pop(kind, None)
-            return
-        base = self._time_base(kind)
-        self._timers[kind] = _IntervalTimer(kind, interval, base + interval)
+        else:
+            base = self._time_base(kind)
+            self._timers[kind] = _IntervalTimer(kind, interval, base + interval)
+        self._refresh_deadlines()
 
     def getitimer(self, kind: str) -> float:
         """Return the armed interval for ``kind`` (0.0 when disarmed)."""
@@ -137,16 +149,29 @@ class SignalManager:
         return self._clock.cpu
 
     def _on_advance(self, wall_dt: float, cpu_dt: float) -> None:
-        self.poll()
+        clock = self._clock
+        if clock._cpu >= self.cpu_deadline or clock._wall >= self.wall_deadline:
+            self.poll()
+
+    def _refresh_deadlines(self) -> None:
+        cpu_dl = wall_dl = _INF
+        for timer in self._timers.values():
+            if timer.kind == Timers.ITIMER_REAL:
+                if timer.deadline < wall_dl:
+                    wall_dl = timer.deadline
+            elif timer.deadline < cpu_dl:
+                cpu_dl = timer.deadline
+        self.cpu_deadline = cpu_dl
+        self.wall_deadline = wall_dl
 
     def poll(self) -> None:
         """Expire any timers whose deadline has passed on the current clock.
 
         Timer state depends only on the clock's *absolute* time bases, so
         polling at arbitrary points is semantically identical to polling on
-        every clock advance — the interpreter's fast path exploits this by
-        polling only when a cached deadline (see :meth:`next_deadlines`)
-        has been crossed.
+        every clock advance. Every caller (the clock observer, the
+        interpreter's fast path, ``VirtualClock.advance_cpu_inline``)
+        therefore polls only when a cached deadline has been crossed.
         """
         faults = self.faults
         for timer in self._timers.values():
@@ -179,6 +204,7 @@ class SignalManager:
                         due = self._clock.wall + delay
                         if due > self._embargo.get(signum, 0.0):
                             self._embargo[signum] = due
+        self._refresh_deadlines()
 
     def next_deadlines(self) -> Tuple[float, float]:
         """``(cpu_deadline, wall_deadline)`` of the earliest armed timers.
@@ -186,18 +212,10 @@ class SignalManager:
         The CPU slot covers ITIMER_VIRTUAL and ITIMER_PROF (both tick on
         process CPU time here); the wall slot covers ITIMER_REAL. Unarmed
         slots are ``inf``, so callers can use plain ``>=`` comparisons as a
-        no-op fast path. The values are only a *hint* for when to call
-        :meth:`poll` next — they go stale whenever ``setitimer`` runs.
+        no-op fast path. A caller that keeps a copy must re-read it after
+        anything that may run ``setitimer`` or :meth:`poll`.
         """
-        cpu_dl = float("inf")
-        wall_dl = float("inf")
-        for timer in self._timers.values():
-            if timer.kind == Timers.ITIMER_REAL:
-                if timer.deadline < wall_dl:
-                    wall_dl = timer.deadline
-            elif timer.deadline < cpu_dl:
-                cpu_dl = timer.deadline
-        return cpu_dl, wall_dl
+        return self.cpu_deadline, self.wall_deadline
 
     def next_wall_deadline(self) -> Optional[float]:
         """Wall time of the next ITIMER_REAL expiry (None when disarmed).
@@ -206,10 +224,7 @@ class SignalManager:
         when every thread is blocked: a sleeping main thread must still be
         woken at each wall-timer tick (EINTR semantics).
         """
-        deadlines = [
-            t.deadline for t in self._timers.values() if t.kind == Timers.ITIMER_REAL
-        ]
-        return min(deadlines) if deadlines else None
+        return self.wall_deadline if Timers.ITIMER_REAL in self._timers else None
 
     # -- delivery -------------------------------------------------------------
 
@@ -255,3 +270,4 @@ class SignalManager:
         self._pending.clear()
         self._embargo.clear()
         self._timers.clear()
+        self._refresh_deadlines()
