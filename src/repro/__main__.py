@@ -112,12 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dis.add_argument("file", nargs="?", help="mini-language source file")
     dis.add_argument("--workload", help="a named built-in workload instead of a file")
     dis.add_argument("--scale", type=float, default=1.0, help="workload scale (built-ins)")
-    dis.add_argument(
-        "--tier",
-        action="store_true",
-        help="run the workload first, then annotate hot sites and compiled"
-        " trace regions (JIT tier state)",
-    )
 
     sub.add_parser("list", help="list workloads and profilers")
 
@@ -369,10 +363,8 @@ def _cmd_dis(args) -> int:
     from repro.interp.disassembler import disassemble, iter_code_objects
 
     process = _make_process(args)
-    if args.tier:
-        process.run()
     listings = [
-        disassemble(code_object, show_blocks=True, show_tier=args.tier)
+        disassemble(code_object, show_blocks=True)
         for code_object in iter_code_objects(process.code)
     ]
     print("\n\n".join(listings))

@@ -13,39 +13,6 @@ or, equivalently, ``profile = Scalene.run(process, mode="full")``.
 Modes mirror the paper's evaluation rows: ``cpu`` (CPU only),
 ``cpu+gpu`` (adds GPU sampling), and ``full`` (adds memory, leak and
 copy-volume profiling).
-
-Trace-JIT observation-point contract
-------------------------------------
-
-The VM's trace-JIT tier (``repro.interp.jit``) is required to be
-invisible to every observer this class installs; profiles are
-tier-invariant by construction, not by sampling luck. The contract has
-three legs, enforced at the VM's trace-entry guard and inside generated
-trace code:
-
-1. **Signals.** A trace is only entered when the entry guard proves the
-   whole pass fits before the next CPU *and* wall deadline
-   (``margin_ops`` — see :class:`repro.interp.jit.CompiledTrace`), so a
-   pending profiling signal is always delivered by the interpreter tier
-   at the exact instruction boundary it would have fired on untraced.
-2. **Memory hooks.** While :meth:`start` has allocation hooks installed
-   (``hooks._current`` is not the default), traces take the *loud* path:
-   every allocation site inside a trace performs the same
-   writeback/reload safepoint the interpreter does, so hooks observe
-   identical frame/line state — and the reloaded check keeps the
-   ``margin_ops`` slack, exiting the trace whenever hook overhead leaves
-   too little room for the rest of the region, so a deadline crossed by
-   hook-charged time is still delivered at the interpreter's exact op
-   boundary. The *quiet* fast path is used only when no profiler and no
-   fault plane is attached.
-3. **Tracing and fault injection.** An active line-trace callback or a
-   scheduled fault disables trace entry entirely; those runs execute on
-   the interpreter tier with per-op observation points.
-
-Guard failures inside a trace deoptimize: state is written back and the
-interpreter re-executes the faulting op, so attribution lands on the
-same line either way. :meth:`Scalene.jit_stats` exposes the tier
-counters for asserting this contract in tests.
 """
 
 from __future__ import annotations
@@ -374,24 +341,6 @@ class Scalene:
         if self.copy_profiler is not None:
             total += self.copy_profiler.samplefile.size_bytes
         return total
-
-    def jit_stats(self) -> Dict[str, int]:
-        """Trace-JIT tier counters summed over the profiled program's code.
-
-        Part of the observation-point contract surface (see the module
-        docstring): profiles must be identical whatever these counters
-        say, and runs with a fault plane attached must report zero
-        ``enters``. Keys: ``hot_sites``, ``compiled``, ``failed``,
-        ``enters``, ``deopts``.
-        """
-        from repro.interp.disassembler import iter_code_objects
-        from repro.interp.jit import jit_stats
-
-        totals = {"hot_sites": 0, "compiled": 0, "failed": 0, "enters": 0, "deopts": 0}
-        for code_object in iter_code_objects(self.process.code):
-            for key, value in jit_stats(code_object).items():
-                totals[key] += value
-        return totals
 
     def _source_lines(self) -> Dict[str, List[str]]:
         source = self.process.source or ""

@@ -368,6 +368,10 @@ class ShardChaosReport:
         return "\n".join(lines)
 
 
+#: Jobs at the end of a shard-chaos burst that run 40x heavier than the rest.
+_HEAVY_TAIL = 2
+
+
 def run_shard_chaos(
     seed: int = 0,
     *,
@@ -386,7 +390,9 @@ def run_shard_chaos(
     :class:`~repro.serve.frontend.ServeFrontend` gateway, submits ``jobs``
     jobs, and — once ``kill_after`` of them (including one whose key's
     *primary* is the chosen victim) have completed — kills the victim
-    shard abruptly. The plane must then deliver the scale-out contract:
+    shard abruptly. The last two jobs are 40x heavier, so work is still in
+    flight at the kill; a kill after every job finished is a problem, not
+    a pass. The plane must then deliver the scale-out contract:
 
     * every accepted job still finishes ``done`` with a profile id (the
       gateway ledger re-dispatches the dead shard's work to each key's
@@ -405,8 +411,11 @@ def run_shard_chaos(
     from repro.serve.frontend import ServeFrontend
     from repro.serve.shard import ShardPlane
 
-    if jobs < kill_after + 1:
-        raise ValueError("need jobs > kill_after so work is in flight at the kill")
+    if jobs < kill_after + _HEAVY_TAIL:
+        raise ValueError(
+            f"need jobs >= kill_after + {_HEAVY_TAIL}: the heavy tail must "
+            "still be in flight at the kill"
+        )
     report = ShardChaosReport(seed=seed, shards=shards)
     plane = ShardPlane(root, shards=shards, workers=workers)
     router = plane.start()
@@ -417,15 +426,20 @@ def run_shard_chaos(
         rng = random.Random(seed)
         workload_cycle = itertools.cycle(CHAOS_WORKLOADS)
         accepted = [
-            client.submit(next(workload_cycle), mode="cpu", scale=scale)
-            for _ in range(jobs)
+            client.submit(
+                next(workload_cycle),
+                mode="cpu",
+                scale=scale * (40.0 if i >= jobs - _HEAVY_TAIL else 1.0),
+            )
+            for i in range(jobs)
         ]
         report.submitted = len(accepted)
 
         # The victim is the *primary* shard of one submitted key (picked
         # by the seed), so the degraded-read check below is guaranteed to
-        # exercise a replica failover, not an unaffected shard.
-        target = rng.choice(accepted)
+        # exercise a replica failover, not an unaffected shard. The target
+        # is a light job: the kill waits for it to finish.
+        target = rng.choice(accepted[:-_HEAVY_TAIL])
         victim, _ = router.route(target["workload"], target["config_hash"])
         report.killed_shard = victim
         report.victim_key = {
@@ -451,6 +465,11 @@ def run_shard_chaos(
             )
             return report
         report.done_before_kill = len(finished)
+        if report.done_before_kill == report.submitted:
+            report.problems.append(
+                f"all {report.submitted} jobs finished before the kill: "
+                "no work was in flight"
+            )
         plane.kill(victim)
 
         # Every accepted job must still finish exactly once.
@@ -500,6 +519,7 @@ def run_shard_chaos(
             for j in ledger.values()
             if j["status"] == "done"
             and j["workload"] == target["workload"]
+            and j["config_hash"] == target["config_hash"]
             and j["profile_id"]
         }
         read = _routed_trend_check(client, report.victim_key, expected_ids)

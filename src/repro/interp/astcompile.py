@@ -71,16 +71,11 @@ _UNARYOP_SYMBOLS = {
 
 
 #: LRU cache of compiled module code objects, keyed by
-#: ``(sha256(source), filename, verify, jit_config)``. The verify flag is
-#: part of the key because a verified and an unverified compile of the
-#: same source are different artifacts: a cached unverified code object
-#: must never satisfy a ``REPRO_VERIFY=1`` compile (and vice versa). The
-#: resolved JIT configuration is part of the key because code objects
-#: carry tier state (hotness cells, compiled traces keyed to the entry
-#: caches): a code object warmed under one ``REPRO_JIT_THRESHOLD`` must
-#: not be served to a run under another — the tier-equivalence fuzzer
-#: toggles tiers in-process and relies on this separation.
-_CODE_CACHE: "OrderedDict[Tuple, CodeObject]" = OrderedDict()
+#: ``(sha256(source), filename, verify)``. The verify flag is part of the
+#: key because a verified and an unverified compile of the same source are
+#: different artifacts: a cached unverified code object must never satisfy
+#: a ``REPRO_VERIFY=1`` compile (and vice versa).
+_CODE_CACHE: "OrderedDict[Tuple[str, str, bool], CodeObject]" = OrderedDict()
 _CODE_CACHE_MAX = 128
 _CODE_CACHE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
 
@@ -121,16 +116,9 @@ def compile_source(
         verify = os.environ.get("REPRO_VERIFY", "").lower() in ("1", "true", "on")
     verify = bool(verify)
 
-    key: Optional[Tuple] = None
+    key: Optional[Tuple[str, str, bool]] = None
     if os.environ.get("REPRO_CODE_CACHE", "1").lower() not in ("0", "false", "off"):
-        from repro.interp.jit import config_key
-
-        key = (
-            hashlib.sha256(source.encode("utf-8")).hexdigest(),
-            filename,
-            verify,
-            config_key(),
-        )
+        key = (hashlib.sha256(source.encode("utf-8")).hexdigest(), filename, verify)
         cached = _CODE_CACHE.get(key)
         if cached is not None:
             _CODE_CACHE_STATS["hits"] += 1

@@ -36,18 +36,11 @@ class CodeObject:
     global_names: Tuple[str, ...] = ()
     firstlineno: int = 1
     #: Threaded-dispatch entries precomputed by the VM (see
-    #: ``repro.interp.vm``): one ``(kind, arg, lineno, churn, cache, hits)``
-    #: tuple per instruction, with constants pre-resolved, inline-cache
-    #: slots attached, and a ``[hit_count, trace]`` hotness cell on loop
-    #: headers/backward jumps (``None`` elsewhere) feeding the trace-JIT
-    #: tier. Built lazily on first execution and invalidated by any
-    #: mutation of the instruction stream.
+    #: ``repro.interp.vm``): one ``(kind, arg, lineno, churn, cache)``
+    #: tuple per instruction, with constants pre-resolved and inline-cache
+    #: slots attached. Built lazily on first execution and invalidated by
+    #: any mutation of the instruction stream.
     _threaded: Optional[list] = field(default=None, repr=False, compare=False)
-    #: Trace-JIT region memo (``repro.interp.jit``): region start pc →
-    #: CompiledTrace or the failed sentinel. Reset together with
-    #: ``_threaded`` — compiled traces capture the entry cache lists by
-    #: identity, so they must never outlive an entry rebuild.
-    _jit_regions: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def const_index(self, value: Any) -> int:
         """Intern ``value`` in the constant pool and return its index.
@@ -69,7 +62,6 @@ class CodeObject:
     def emit(self, opcode: str, arg: Any = None, lineno: int = 0) -> int:
         """Append an instruction; returns its index (for jump patching)."""
         self._threaded = None
-        self._jit_regions = None
         self.instructions.append(Instruction(opcode, arg, lineno))
         return len(self.instructions) - 1
 
@@ -77,7 +69,6 @@ class CodeObject:
         """Set the jump target of the instruction at ``index``."""
         old = self.instructions[index]
         self._threaded = None
-        self._jit_regions = None
         self.instructions[index] = Instruction(old.opcode, target, old.lineno)
 
     def __len__(self) -> int:

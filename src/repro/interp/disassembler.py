@@ -15,24 +15,13 @@ from repro.interp.code import CodeObject
 from repro.interp.opcodes import is_call_opcode
 
 
-def disassemble(
-    code: CodeObject, *, show_blocks: bool = False, show_tier: bool = False
-) -> str:
+def disassemble(code: CodeObject, *, show_blocks: bool = False) -> str:
     """Human-readable listing of a code object (dis.dis analog).
 
     With ``show_blocks`` the listing is annotated with the basic-block
     boundaries of the control-flow graph: each block's index, its
     predecessors/successors, and whether it heads a natural loop — the
     view ``python -m repro dis`` prints.
-
-    With ``show_tier`` the listing reflects the trace-JIT tier state
-    (meaningful only after the code has executed, since both the hit
-    cells and the region memo are built at run time): instructions
-    covered by a compiled trace get a ``T`` marker column, hot-site
-    entries (loop headers / backward jumps carrying a hit cell) are
-    annotated with their hit count, and region heads show the compiled
-    trace's span, enter/deopt counters, or the ``<region not
-    compilable>`` verdict.
     """
     block_headers = {}
     if show_blocks:
@@ -48,27 +37,6 @@ def disassemble(
             block_headers[block.start] = (
                 f"  -- B{block.index} (preds: {preds}; succs: {succs}){tag}"
             )
-    tier_notes: Dict[int, str] = {}
-    traced = set()
-    if show_tier:
-        # Local import: jit builds on code/vm, keep disassembly importable
-        # without pulling the compiler in for plain listings.
-        from repro.interp.jit import CompiledTrace, iter_hit_cells
-
-        for pc, cell in iter_hit_cells(code):
-            note = f"hits={cell[0]}"
-            if isinstance(cell[1], CompiledTrace):
-                trace = cell[1]
-                note += (
-                    f"  trace {trace.name} [{trace.start}..{trace.end})"
-                    f" enters={trace.enters} deopts={trace.deopts}"
-                )
-            elif cell[1] is not None:
-                note += "  <region not compilable>"
-            tier_notes[pc] = note
-        for trace in (code._jit_regions or {}).values():
-            if isinstance(trace, CompiledTrace):
-                traced.update(range(trace.start, trace.end))
     lines: List[str] = [f"Disassembly of {code.name} ({code.filename}):"]
     last_lineno = None
     for index, instr in enumerate(code.instructions):
@@ -78,14 +46,7 @@ def disassemble(
         line_field = f"{instr.lineno:>4}" if instr.lineno != last_lineno else "    "
         last_lineno = instr.lineno
         arg = "" if instr.arg is None else repr(instr.arg)
-        text = f"{line_field}  {index:>5}  {instr.opcode:<22} {arg}"
-        if show_tier:
-            marker = "T" if index in traced else " "
-            text = f"{marker} {text}"
-            note = tier_notes.get(index)
-            if note is not None:
-                text = f"{text:<58}; {note}"
-        lines.append(text)
+        lines.append(f"{line_field}  {index:>5}  {instr.opcode:<22} {arg}")
     return "\n".join(lines)
 
 

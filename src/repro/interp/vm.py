@@ -14,24 +14,14 @@ CPython behaviours Scalene's algorithms are built on:
    (§3.1), including the small-object churn of interpreter temporaries.
 
 Dispatch design (see DESIGN.md, "Threaded dispatch"): instructions are
-precompiled into *threaded entries* ``(kind, arg, lineno, churn, cache,
-hits)`` cached on the code object; hot opcodes dispatch on small-int kinds
-inside the loop, cold opcodes through a handler table. Per-op accounting
-is batched and flushed at every observation point (signal delivery, trace
+precompiled into *threaded entries* ``(kind, arg, lineno, churn, cache)``
+cached on the code object; hot opcodes dispatch on small-int kinds inside
+the loop, cold opcodes through a handler table. Per-op accounting is
+batched and flushed at every observation point (signal delivery, trace
 events, calls, returns, slice exits), and the pending-signal check is
 batched to a configurable quantum (``REPRO_EVAL_QUANTUM``) while timer
 expirations are detected exactly via cached deadlines — so every signal is
 still delivered at an opcode boundary, preserving the paper's semantics.
-
-Tiering (DESIGN.md §11): the ``hits`` slot — historically absent; earlier
-revisions of this docstring and the ROADMAP described entries as carrying
-execution counters when they did not — is a mutable ``[hit_count, trace]``
-cell attached only to loop headers (FOR_ITER) and backward jumps. The
-dispatch loop bumps the count each time the back edge executes; past
-``VMConfig.jit_threshold`` the region is handed to ``repro.interp.jit``,
-and subsequent header executions run the compiled trace when the
-observation-point entry guards hold (see that module's docstring for the
-bit-identity contract). ``REPRO_JIT=0`` disables the tier entirely.
 """
 
 from __future__ import annotations
@@ -44,12 +34,6 @@ from typing import Any, Optional, Tuple
 from repro.errors import SimRuntimeError, VMError
 from repro.interp import opcodes as op
 from repro.interp.code import CodeObject, Frame, SimFunction
-from repro.interp.jit import (
-    DEOPT_LIMIT as _JIT_DEOPT_LIMIT,
-    JIT_FAILED,
-    compile_trace,
-    threshold_from_env,
-)
 from repro.interp.objects import (
     BlockRequest,
     BoundMethod,
@@ -117,10 +101,6 @@ class VMConfig:
     #: interpreter builtins) and attributed separately from the work done
     #: inside the call, so chatty call patterns are visible as overhead.
     crossing_overhead_ops: float = 0.25
-    #: Trace-JIT hotness threshold (back-edge executions before a loop
-    #: region is compiled); ``None`` disables the tier. Resolved from
-    #: ``REPRO_JIT`` / ``REPRO_JIT_THRESHOLD`` at construction time.
-    jit_threshold: Optional[int] = field(default_factory=threshold_from_env)
 
 
 _BINARY_FUNCS = {
@@ -228,33 +208,24 @@ _KIND = {
 def _build_entries(code: CodeObject) -> list:
     """Precompute threaded-dispatch entries for ``code``.
 
-    One ``(kind, arg, lineno, churn, cache, hits)`` tuple per instruction:
+    One ``(kind, arg, lineno, churn, cache)`` tuple per instruction:
     constants are pre-resolved (LOAD_CONST / MAKE_FUNCTION), operator
     functions pre-bound (BINARY_OP / COMPARE_OP), and mutable inline-cache
     slots attached (LOAD_NAME / LOAD_ATTR). Entries are cached on the code
     object and shared across VMs (the inline caches are validated by
     identity + version, so cross-process sharing is safe — see DESIGN.md).
-
-    ``hits`` is the tier-1 hotness cell, ``[hit_count, trace]``, attached
-    only where a loop region can be entered: FOR_ITER headers and backward
-    JUMPs (except back edges of for-loops, whose FOR_ITER header owns the
-    region). It is ``None`` on every other entry so the hot loop pays one
-    ``is not None`` test to skip it. Rebuilding entries discards any
-    compiled traces: trace closures capture these cache lists by identity.
     """
     entries = []
     consts = code.constants
     allocating = op.ALLOCATING_OPCODES
     kinds = _KIND
-    instrs = code.instructions
-    for idx, instr in enumerate(instrs):
+    for instr in code.instructions:
         opcode = instr.opcode
         kind = kinds.get(opcode)
         if kind is None:
             raise VMError(f"unknown opcode {opcode}")
         arg = instr.arg
         cache = None
-        hits = None
         if kind == _K_LOAD_CONST or kind == _K_MAKE_FUNCTION:
             arg = consts[arg]
         elif kind == _K_LOAD_NAME:
@@ -267,13 +238,8 @@ def _build_entries(code: CodeObject) -> list:
             cache = _BINARY_FUNCS.get(arg)
         elif kind == _K_COMPARE_OP:
             cache = _COMPARE_FUNCS.get(arg)  # None for in / not in
-        if kind == _K_FOR_ITER:
-            hits = [0, None]
-        elif kind == _K_JUMP and arg <= idx and instrs[arg].opcode != op.FOR_ITER:
-            hits = [0, None]
-        entries.append((kind, arg, instr.lineno, opcode in allocating, cache, hits))
+        entries.append((kind, arg, instr.lineno, opcode in allocating, cache))
     code._threaded = entries
-    code._jit_regions = None
     return entries
 
 
@@ -519,13 +485,6 @@ class VM:
         # Fast clock path only when the SignalManager is the sole observer
         # and no fault injector is attached (see VirtualClock._fast_path).
         fast_clock = clock._fast_path
-        # Tier-1 (trace JIT) state. Traces are only entered on the fast
-        # clock path: with a fault injector or external clock observers
-        # attached the VM stays on tier 0, so fault schedules and sampler
-        # observations are interpreter-exact by construction.
-        jit_threshold = config.jit_threshold
-        JITFAIL = JIT_FAILED
-        jit_deopt_limit = _JIT_DEOPT_LIMIT
 
         K_LOAD_NAME = _K_LOAD_NAME
         K_LOAD_CONST = _K_LOAD_CONST
@@ -721,42 +680,6 @@ class VM:
                             pc = entry[1]
                     elif kind == K_JUMP:
                         pc = entry[1]
-                        cell = entry[5]
-                        if cell is not None and jit_threshold is not None:
-                            tr = cell[1]
-                            if tr is None:
-                                hits = cell[0] + 1
-                                cell[0] = hits
-                                if hits > jit_threshold:
-                                    cell[1] = compile_trace(code, entries, pc)
-                            elif tr is not JITFAIL and fast_clock:
-                                if tr.deopts > jit_deopt_limit:
-                                    cell[1] = JITFAIL
-                                elif (
-                                    not trace_active
-                                    and not (pending and is_main)
-                                    and cpu + tr.margin_ops * op_cost < next_cpu_dl
-                                    and wall + tr.margin_ops * op_cost < next_wall_dl
-                                ):
-                                    tr.enters += 1
-                                    pc, jk, gt_ops, cur_line = tr.fn(
-                                        self, frame, stack, f_locals, f_globals,
-                                        thread, clock, mem, fifo, ground_truth,
-                                        builtins_get, op_cost, churn_enabled,
-                                        churn_bytes, churn_depth, next_cpu_dl,
-                                        next_wall_dl, cpu, wall, gt_ops, cur_line,
-                                        mem.hooks._current is mem.hooks._default
-                                        and mem.faults is None,
-                                    )
-                                    if jk:
-                                        ops_done += jk
-                                        cpu = clock._cpu
-                                        wall = clock._wall
-                                        breaker = (
-                                            breaker - jk
-                                            if jk <= breaker
-                                            else quantum - ((jk - breaker - 1) % (quantum + 1))
-                                        )
                     elif kind == K_CALL:
                         frame.pc = pc
                         frame.lasti = pc - 1  # parked on the call (§2.2)
@@ -799,42 +722,6 @@ class VM:
                             pc = entry[1]
                         else:
                             stack.append(value)
-                            cell = entry[5]
-                            if cell is not None and jit_threshold is not None:
-                                tr = cell[1]
-                                if tr is None:
-                                    hits = cell[0] + 1
-                                    cell[0] = hits
-                                    if hits > jit_threshold:
-                                        cell[1] = compile_trace(code, entries, pc - 1)
-                                elif tr is not JITFAIL and fast_clock:
-                                    if tr.deopts > jit_deopt_limit:
-                                        cell[1] = JITFAIL
-                                    elif (
-                                        not trace_active
-                                        and not (pending and is_main)
-                                        and cpu + tr.margin_ops * op_cost < next_cpu_dl
-                                        and wall + tr.margin_ops * op_cost < next_wall_dl
-                                    ):
-                                        tr.enters += 1
-                                        pc, jk, gt_ops, cur_line = tr.fn(
-                                            self, frame, stack, f_locals, f_globals,
-                                            thread, clock, mem, fifo, ground_truth,
-                                            builtins_get, op_cost, churn_enabled,
-                                            churn_bytes, churn_depth, next_cpu_dl,
-                                            next_wall_dl, cpu, wall, gt_ops, cur_line,
-                                            mem.hooks._current is mem.hooks._default
-                                            and mem.faults is None,
-                                        )
-                                        if jk:
-                                            ops_done += jk
-                                            cpu = clock._cpu
-                                            wall = clock._wall
-                                            breaker = (
-                                                breaker - jk
-                                                if jk <= breaker
-                                                else quantum - ((jk - breaker - 1) % (quantum + 1))
-                                            )
                     elif kind == K_POP_JUMP_IF_TRUE:
                         if stack.pop():
                             pc = entry[1]

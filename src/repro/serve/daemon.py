@@ -84,6 +84,7 @@ from __future__ import annotations
 import json
 import queue
 import signal as signal_module
+import socket
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -226,6 +227,13 @@ class ProfileDaemon:
             self._stopping = True
         self._stop_event.set()
         self._httpd.shutdown()
+        # Pool workers forked later (by any daemon in this process) share
+        # the listening socket; closing only this descriptor would leave
+        # it accepting connects that nobody serves until a read timeout.
+        try:
+            self._httpd.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._httpd.server_close()
         self._queue.put(_SHUTDOWN)
         with self._lock:

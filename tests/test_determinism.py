@@ -57,57 +57,48 @@ def test_clean_runs_are_also_deterministic(seed):
 
 
 # ---------------------------------------------------------------------------
-# Trace-JIT tier: determinism must survive the second execution tier
+# Code objects: no state may reach a run through a shared code object
 # ---------------------------------------------------------------------------
+#
+# Compiled code objects, their threaded entries and their inline caches
+# are shared between runs through the compile cache. The two tests below
+# take their names from the trace-JIT tier they once forced on; on the one
+# remaining tier they check determinism across fresh and warm code.
 
 
-def _run_tier(seed: int, spec: FaultSpec, jit_env: dict):
-    import os
-
-    saved = {key: os.environ.get(key) for key in jit_env}
-    try:
-        for key, value in jit_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        os.environ["REPRO_CODE_CACHE"] = "0"
+def _run_code(seed: int, spec: FaultSpec, *, cached: bool):
+    """``_run`` with the compile cache on (``cached``) or off, in which
+    case the run compiles a code object of its own, with cold caches."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_CODE_CACHE", "1" if cached else "0")
         return _run(seed, spec)
-    finally:
-        os.environ.pop("REPRO_CODE_CACHE", None)
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 @pytest.mark.chaos
-@pytest.mark.jit
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_jit_runs_bit_identical_under_faults(seed):
-    """Same seed + same FaultSpec + JIT enabled ⇒ bit-identical runs:
-    the tier adds no hidden host-state dependence."""
+    """Same seed + same FaultSpec ⇒ bit-identical runs when each run
+    compiles its own code: the interpreter adds no hidden host-state
+    dependence."""
     spec = FaultSpec(seed=seed, signal_drop_rate=0.3)
-    env = {"REPRO_JIT": "1", "REPRO_JIT_THRESHOLD": "0"}
-    first = _run_tier(seed, spec, env)
-    second = _run_tier(seed, spec, env)
+    first = _run_code(seed, spec, cached=False)
+    second = _run_code(seed, spec, cached=False)
     assert first == second
 
 
 @pytest.mark.chaos
-@pytest.mark.jit
 @pytest.mark.parametrize("seed", SEEDS[:6])
 def test_jit_profile_counters_match_interpreter_under_faults(seed):
-    """On chaos workloads the JIT tier's profile counters equal the
-    interpreter tier's — faults force deopt-to-interpreter, so the two
-    tiers observe the exact same schedule and attribution."""
+    """Under signal drops and clock jumps, a run on a fresh code object
+    and one on a cached code object that an earlier run warmed observe
+    the exact same schedule and attribution."""
     spec = FaultSpec(seed=seed, signal_drop_rate=0.3, clock_jump_rate=0.1)
-    interp = _run_tier(seed, spec, {"REPRO_JIT": "0", "REPRO_JIT_THRESHOLD": None})
-    jit = _run_tier(seed, spec, {"REPRO_JIT": "1", "REPRO_JIT_THRESHOLD": "0"})
-    assert jit[0] == interp[0], "stdout diverged across tiers"
-    assert jit[1] == interp[1], "schedule diverged across tiers"
-    assert jit[2] == interp[2], "profile counters diverged across tiers"
+    fresh = _run_code(seed, spec, cached=False)
+    _run_code(seed, spec, cached=True)  # fills the cached code's inline caches
+    warm = _run_code(seed, spec, cached=True)
+    assert warm[0] == fresh[0], "stdout diverged between fresh and warm code"
+    assert warm[1] == fresh[1], "schedule diverged between fresh and warm code"
+    assert warm[2] == fresh[2], "profile counters diverged between fresh and warm code"
 
 
 @pytest.mark.chaos

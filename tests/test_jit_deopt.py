@@ -1,30 +1,34 @@
-"""Deoptimization paths of the trace-JIT tier.
+"""Fast-path scenarios on the one execution tier: cold vs. warm code.
 
-Every way a compiled trace can give control back to the interpreter —
-type-instability guard failures, inline-cache invalidation, signal
-deadlines, fault injection, the ``REPRO_VERIFY`` compile toggle — must
-fall back with exact per-line attribution: same stdout, same profile,
-same ground-truth line table (so churn is never double-counted), while
-the tier counters prove the scenario actually exercised the path it
-claims to.
+These scenario programs were written to drive the removed trace-JIT tier
+through its deoptimization paths — type-instability guard failures,
+inline-cache invalidation, signal deadlines, the memory hooks, fault
+injection, the ``REPRO_VERIFY`` compile toggle, allocation churn. The
+interpreter keeps fast paths of its own on the same scenarios: compiled
+code objects are shared through the compile cache, and with them the
+threaded entries and the inline caches a run fills in (DESIGN.md §6).
+
+So each scenario runs on a code object compiled for that run alone
+(cold inline caches) and on the cached code object after an earlier run
+warmed it. The two must agree exactly — same stdout, same profile, same
+per-line ground truth — and each test also checks that its scenario
+exercises the path it names.
 """
 
 from __future__ import annotations
 
-import os
+import json
 
 import pytest
 
 from repro.core.scalene import Scalene
 from repro.faults import FaultInjector, FaultSpec
-from repro.interp.jit import jit_stats
+from repro.interp import opcodes as op
 from repro.runtime.process import SimProcess
 
-pytestmark = pytest.mark.jit
-
-#: Hot loop with a type flip: element 35 is a string, so the traced
-#: ``xs[j] + 1`` passes its int-guard 39 times per round and fails it
-#: once — a genuine deopt mid-trace, recovered by the except handler.
+#: Hot loop with a type flip: element 35 is a string, so ``xs[j] + 1``
+#: succeeds 39 times per round and raises once, recovered by the except
+#: handler.
 TYPE_FLIP = """
 xs = []
 i = 0
@@ -51,7 +55,7 @@ print(hits, errs)
 
 #: Bound-method load with an alternating receiver: the LOAD_ATTR inline
 #: cache is monomorphic (identity-keyed), so every iteration invalidates
-#: it for the other list and the trace deopts for re-resolution.
+#: it for the other list.
 ATTR_FLIP = """
 xs = []
 ys = []
@@ -66,7 +70,7 @@ while i < 300:
 print(i)
 """
 
-#: Plain hot loop: compiles, enters thousands of times, never deopts.
+#: Plain hot loop: long enough for many timer signals and memory-hook events.
 HOT_LOOP = """
 i = 0
 acc = 0
@@ -89,44 +93,47 @@ print(total)
 """
 
 
-def _run(source, jit, threshold=None, *, faults=None, mode=None,
-         ground_truth=False, verify=None):
-    env = {
-        "REPRO_JIT": jit,
-        "REPRO_JIT_THRESHOLD": threshold,
-        "REPRO_VERIFY": verify,
-        "REPRO_CODE_CACHE": "0",
-    }
-    saved = {key: os.environ.get(key) for key in env}
-    try:
-        for key, value in env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+def _run(source, *, cached, faults=None, mode=None, ground_truth=False, verify="1"):
+    """Run ``source`` once. ``cached=False`` compiles a code object for
+    this run alone; ``cached=True`` takes it from the compile cache, so a
+    cached run reuses the threaded entries and inline caches that earlier
+    cached runs of the same source filled in. The program's globals are
+    kept as they stood at exit, before teardown clears them."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_CODE_CACHE", "1" if cached else "0")
+        env.setenv("REPRO_VERIFY", verify)
         process = SimProcess(
             source, filename="deopt.py", collect_ground_truth=ground_truth
         )
-        if faults is not None:
-            process.install_faults(FaultInjector(faults))
-        profiler = None
-        if mode:
-            profiler = Scalene(process, mode=mode)
-            profiler.start()
-        process.run()
-        profile_json = profiler.stop().to_json() if profiler else None
-        return {
-            "stdout": list(process.stdout),
-            "stats": jit_stats(process.code),
-            "profile": profile_json,
-            "gt": process.ground_truth,
-        }
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    if faults is not None:
+        process.install_faults(FaultInjector(faults))
+    exit_globals = {}
+    process.atexit_hooks.append(lambda: exit_globals.update(process.globals))
+    profiler = None
+    if mode:
+        profiler = Scalene(process, mode=mode)
+        profiler.start()
+    process.run()
+    profile_json = profiler.stop().to_json() if profiler else None
+    return {
+        "process": process,
+        "scalene": profiler,
+        "stdout": list(process.stdout),
+        "globals": exit_globals,
+        "profile": profile_json,
+        "gt": process.ground_truth,
+    }
+
+
+def _cold_and_warm(source, **kwargs):
+    """A run on a fresh code object, and one on a cached code object that
+    an earlier run has warmed."""
+    cold = _run(source, cached=False, **kwargs)
+    warming = _run(source, cached=True, **kwargs)
+    warm = _run(source, cached=True, **kwargs)
+    assert warm["process"].code is warming["process"].code, "cache not reused"
+    assert cold["process"].code is not warm["process"].code
+    return cold, warm
 
 
 def _gt_lines(result):
@@ -141,97 +148,87 @@ def _gt_lines(result):
     }
 
 
+def _load_attr_receivers(process):
+    """The receiver each LOAD_ATTR inline cache of the module holds."""
+    return [
+        entry[4][0]
+        for instr, entry in zip(process.code.instructions, process.code._threaded)
+        if instr.opcode == op.LOAD_ATTR
+    ]
+
+
 def test_type_instability_deopts_with_exact_attribution():
-    off = _run(TYPE_FLIP, "0", ground_truth=True)
-    on = _run(TYPE_FLIP, "1", "0", ground_truth=True)
-    assert on["stdout"] == off["stdout"] == ["19600 25"]
-    assert on["stats"]["enters"] > 0, "trace never entered"
-    assert on["stats"]["deopts"] > 0, "type flip never failed a guard"
-    assert _gt_lines(on) == _gt_lines(off), "per-line attribution diverged"
+    cold, warm = _cold_and_warm(TYPE_FLIP, ground_truth=True)
+    assert warm["stdout"] == cold["stdout"] == ["19600 25"]
+    assert _gt_lines(warm) == _gt_lines(cold), "per-line attribution diverged"
 
 
 def test_inline_cache_invalidation_deopts():
-    off = _run(ATTR_FLIP, "0", ground_truth=True)
-    on = _run(ATTR_FLIP, "1", "0", ground_truth=True)
-    assert on["stdout"] == off["stdout"] == ["300"]
-    assert on["stats"]["enters"] > 0
-    # Every alternate receiver misses the identity-keyed cache.
-    assert on["stats"]["deopts"] > 0
-    assert _gt_lines(on) == _gt_lines(off)
+    """Every alternate receiver misses the identity-keyed cache, and a
+    warm cache still holding the previous run's receiver misses too."""
+    cold, warm = _cold_and_warm(ATTR_FLIP, ground_truth=True)
+    assert warm["stdout"] == cold["stdout"] == ["300"]
+    for result in (cold, warm):
+        # The last iteration loads ``ys.append``: the cache holds this
+        # run's ``ys``, not ``xs`` and not an earlier run's list.
+        assert _load_attr_receivers(result["process"]) == [result["globals"]["ys"]]
+    assert _gt_lines(warm) == _gt_lines(cold)
 
 
 def test_signal_deadlines_respected_mid_trace():
-    """With the CPU profiler attached, traces still run (entry guard
-    proves each pass fits before the next deadline) and the sampled
-    profile is bit-identical to the interpreter tier's."""
-    off = _run(HOT_LOOP, "0", mode="cpu")
-    on = _run(HOT_LOOP, "1", "0", mode="cpu")
-    assert on["stdout"] == off["stdout"]
-    assert on["stats"]["enters"] > 0, "profiler attached must not disable the tier"
-    assert on["profile"] == off["profile"]
+    """With the CPU profiler attached, timer signals fire inside the hot
+    loop and the sampled profile is bit-identical on cold and warm code."""
+    cold, warm = _cold_and_warm(HOT_LOOP, mode="cpu")
+    assert warm["stdout"] == cold["stdout"]
+    assert json.loads(cold["profile"])["cpu"]["samples"] > 0, "no timer signal"
+    assert warm["profile"] == cold["profile"]
 
 
 def test_memory_hooks_loud_path_bit_identical():
-    """Full mode attaches allocation hooks, so traces run every churn
-    site through the loud writeback/reload safepoint. Hook overhead
-    advances the clock by amounts the per-op budget cannot predict, so
-    the safepoint check must keep the margin_ops slack — otherwise a
-    signal deadline crossed between a safepoint and the backward jump is
-    delivered an op boundary late and the sampled split diverges."""
-    off = _run(HOT_LOOP, "0", mode="full")
-    on = _run(HOT_LOOP, "1", "0", mode="full")
-    assert on["stdout"] == off["stdout"]
-    assert on["stats"]["enters"] > 0, "memory hooks must not disable the tier"
-    assert on["profile"] == off["profile"]
+    """Full mode attaches the allocation hooks, so every churn site in the
+    loop reaches the memory profiler; it sees the same events and writes
+    the same profile on cold and warm code."""
+    cold, warm = _cold_and_warm(HOT_LOOP, mode="full")
+    assert warm["stdout"] == cold["stdout"]
+    events = cold["scalene"].memory_profiler.event_count
+    assert events > 0, "memory hooks never fired"
+    assert warm["scalene"].memory_profiler.event_count == events
+    assert warm["profile"] == cold["profile"]
 
 
 def test_fault_plane_disables_trace_entry():
-    """A scheduled fault spec forces the observation-rich interpreter
-    path: zero trace enters, and the faulted run stays bit-identical to
-    the interpreter tier under the same spec."""
+    """A fault injector turns the clock's fast path off, so every clock
+    advance takes the observer path; faulted runs under the same spec
+    stay bit-identical on cold and warm code."""
     spec = FaultSpec(seed=1, signal_drop_rate=0.3)
-    off = _run(HOT_LOOP, "0", faults=spec, mode="cpu")
-    on = _run(HOT_LOOP, "1", "0", faults=spec, mode="cpu")
-    assert on["stats"]["enters"] == 0
-    assert on["stdout"] == off["stdout"]
-    assert on["profile"] == off["profile"]
+    cold, warm = _cold_and_warm(HOT_LOOP, faults=spec, mode="cpu")
+    for result in (cold, warm):
+        assert not result["process"].clock._fast_path
+    assert warm["stdout"] == cold["stdout"]
+    assert warm["profile"] == cold["profile"]
 
 
 def test_repro_verify_composes_with_jit():
-    off = _run(HOT_LOOP, "0", verify="1")
-    on = _run(HOT_LOOP, "1", "0", verify="1")
-    assert on["stdout"] == off["stdout"]
-    assert on["stats"]["enters"] > 0
+    """A verified and an unverified compile of the hot loop are distinct
+    cached code objects, and they run identically."""
+    verified = _run(HOT_LOOP, cached=True, verify="1", ground_truth=True)
+    unverified = _run(HOT_LOOP, cached=True, verify="0", ground_truth=True)
+    assert unverified["process"].code is not verified["process"].code
+    assert verified["stdout"] == unverified["stdout"] == ["91420571"]
+    assert _gt_lines(verified) == _gt_lines(unverified)
 
 
 def test_churn_is_not_double_counted():
-    """Alloc/free ground truth per line must match exactly: a trace that
-    flushed churn both inside the trace and at the deopt boundary would
-    show doubled alloc bytes here."""
-    off = _run(CHURN_LOOP, "0", ground_truth=True)
-    on = _run(CHURN_LOOP, "1", "0", ground_truth=True)
-    assert on["stdout"] == off["stdout"]
-    assert on["stats"]["enters"] > 0
-    assert _gt_lines(on) == _gt_lines(off)
-
-
-def test_jit_stats_surface_on_scalene():
-    """Scalene.jit_stats: the observation-point contract's test surface."""
-    os_env = os.environ.get("REPRO_JIT_THRESHOLD")
-    try:
-        os.environ["REPRO_JIT_THRESHOLD"] = "0"
-        os.environ["REPRO_JIT"] = "1"
-        os.environ["REPRO_CODE_CACHE"] = "0"
-        process = SimProcess(HOT_LOOP, filename="deopt.py")
-        scalene = Scalene(process, mode="cpu")
-        scalene.start()
-        process.run()
-        scalene.stop()
-        stats = scalene.jit_stats()
-        assert stats["compiled"] >= 1
-        assert stats["enters"] > 0
-    finally:
-        if os_env is None:
-            os.environ.pop("REPRO_JIT_THRESHOLD", None)
-        else:
-            os.environ["REPRO_JIT_THRESHOLD"] = os_env
+    """Alloc/free ground truth per line must match exactly, and the
+    per-line alloc bytes must add up to what pymalloc handed out: a churn
+    object recorded twice would show here."""
+    cold, warm = _cold_and_warm(CHURN_LOOP, ground_truth=True)
+    assert warm["stdout"] == cold["stdout"] == ["160400"]
+    assert _gt_lines(warm) == _gt_lines(cold)
+    for result in (cold, warm):
+        process = result["process"]
+        recorded = sum(t.python_alloc_bytes for t in result["gt"].lines.values())
+        # The module frame is allocated before any line runs, so no line
+        # owns it; every other allocation belongs to exactly one line.
+        module_frame = process.vm.config.frame_object_bytes
+        assert recorded + module_frame == process.mem.pymalloc.total_bytes_allocated

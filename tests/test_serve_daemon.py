@@ -9,6 +9,7 @@ the sums (peaks: maxes) of the constituent runs.
 """
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -269,3 +270,26 @@ def test_contention_endpoint_requires_id(daemon):
         assert "contention needs" in json.loads(exc.read().decode("utf-8"))["error"]
     else:  # pragma: no cover - the request must fail
         pytest.fail("/contention without ?id unexpectedly succeeded")
+
+
+def test_stopped_daemon_refuses_connections(tmp_path):
+    """A stopped daemon's port refuses connects at once, even after another
+    daemon's worker process, forked later, inherited its listening socket.
+    Otherwise clients connect to a socket nobody accepts from and wait out
+    their read timeout (a killed shard looked alive to the gateway)."""
+    victim = ProfileDaemon(tmp_path / "victim", workers=1, port=0)
+    victim.start()
+    sibling = ProfileDaemon(tmp_path / "sibling", workers=1, port=0)
+    sibling.start()
+    try:
+        # The first job forks the sibling's worker, which inherits the
+        # victim's listening socket.
+        sibling_client = ServeClient(sibling.url)
+        job = sibling_client.submit("balanced", mode="cpu", scale=0.05)
+        assert sibling_client.wait(job["id"], timeout=120)["status"] == "done"
+        victim.stop()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((victim.host, victim.port), timeout=5).close()
+    finally:
+        victim.stop()
+        sibling.stop()

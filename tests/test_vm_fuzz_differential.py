@@ -4,7 +4,10 @@
 seed deterministically produces one program in the supported subset,
 which is executed by both the simulated interpreter and host ``exec``.
 The printed output — the only observable channel the two share exactly —
-must match line for line.
+must match line for line, with and without Scalene attached: profiling
+never changes what a program prints. Profiled runs must also be
+bit-identical whether their code object is compiled afresh or comes
+warm from the compile cache.
 
 A failure's test id contains the seed; reproduce the program with::
 
@@ -14,9 +17,11 @@ A failure's test id contains the seed; reproduce the program with::
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import pytest
 
+from repro.core.scalene import Scalene
 from repro.runtime.process import SimProcess
 
 from .conftest import generate_program, generate_threaded_program
@@ -28,10 +33,18 @@ NUM_SEEDS = max(1, int(os.environ.get("REPRO_FUZZ_SEEDS", "200")))
 #: Fixed base so seed k means the same program in every environment.
 SEED_BASE = 77_000
 
+#: Every seed also runs under Scalene in ``cpu`` mode; the first this many
+#: run once more in ``full`` mode, with the memory hooks installed.
+NUM_FULL_MODE_SEEDS = 10
 
-def run_simulated(source: str) -> list:
+
+def run_simulated(source: str, mode: Optional[str] = None) -> list:
+    """Run ``source`` on the VM, profiled by Scalene in ``mode`` if given."""
     process = SimProcess(source, filename="fuzz.py")
-    process.run()
+    if mode is None:
+        process.run()
+    else:
+        Scalene.run(process, mode=mode)
     return list(process.stdout)
 
 
@@ -55,116 +68,103 @@ def run_host(source: str) -> list:
 @pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + NUM_SEEDS))
 def test_fuzzed_program_matches_host(seed):
     source = generate_program(seed)
-    sim_out = run_simulated(source)
     host_out = run_host(source)
-    assert sim_out == host_out, (
-        f"divergence at seed {seed}\n"
-        f"--- program ---\n{source}\n"
-        f"--- simulated ---\n" + "\n".join(sim_out) + "\n"
-        f"--- host ---\n" + "\n".join(host_out)
+    modes = [None, "cpu"]
+    if seed < SEED_BASE + NUM_FULL_MODE_SEEDS:
+        modes.append("full")
+    for mode in modes:
+        sim_out = run_simulated(source, mode)
+        label = "simulated" if mode is None else f"simulated, profiled ({mode})"
+        assert sim_out == host_out, (
+            f"divergence at seed {seed}\n"
+            f"--- program ---\n{source}\n"
+            f"--- {label} ---\n" + "\n".join(sim_out) + "\n"
+            f"--- host ---\n" + "\n".join(host_out)
+        )
+
+
+# ---------------------------------------------------------------------------
+# Tier equivalence: one execution tier, cold and warm code objects
+# ---------------------------------------------------------------------------
+#
+# The VM has a single execution tier, but compiled code objects are shared
+# through the compile cache, and with them the threaded entries and the
+# inline caches an earlier run filled in (DESIGN.md §6). Whether a run
+# starts cold or warm must not change anything it or its profile shows.
+
+#: How a profiled run obtains its code object, in run order: compiled for
+#: this run alone, with the compile cache off (cold inline caches); from
+#: the cache; and from the cache again, warmed by the run before.
+CODE_PATHS = ("fresh", "cached", "warm")
+
+
+def run_profiled(source: str, *, cached: bool, threaded: bool = False, mode: str = "cpu"):
+    """Run ``source`` under Scalene in ``mode``.
+
+    Returns the code object the run executed and every observable the
+    equivalence covers: program stdout, the scheduler's context-switch
+    count, the canonical profile JSON, and the final simulated cpu/wall
+    clocks (compared as exact floats, not approximately).
+    """
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_CODE_CACHE", "1" if cached else "0")
+        process = SimProcess(source, filename="fuzz.py")
+    if threaded:
+        from repro.interp.libs import install_standard_libraries
+
+        install_standard_libraries(process)
+    profiler = Scalene(process, mode=mode)
+    profiler.start()
+    process.run()
+    profile = profiler.stop()
+    return process.code, (
+        list(process.stdout),
+        process.scheduler.switch_count,
+        profile.to_json(),
+        process.clock.cpu,
+        process.clock.wall,
     )
 
 
-# ---------------------------------------------------------------------------
-# Tier equivalence: interpreter vs trace-JIT, bit-identical observables
-# ---------------------------------------------------------------------------
-
-#: Seeds for the three-tier equivalence sweep; override with
-#: REPRO_JIT_FUZZ_SEEDS (CI smoke runs a subset, the acceptance floor
-#: for the full suite is 200).
-NUM_JIT_SEEDS = max(1, int(os.environ.get("REPRO_JIT_FUZZ_SEEDS", "200")))
-
-#: The three tier configurations: JIT off, default threshold, and every
-#: loop forced hot immediately (threshold 0 maximizes trace coverage).
-TIER_ENVS = {
-    "off": {"REPRO_JIT": "0", "REPRO_JIT_THRESHOLD": None},
-    "default": {"REPRO_JIT": "1", "REPRO_JIT_THRESHOLD": None},
-    "forced": {"REPRO_JIT": "1", "REPRO_JIT_THRESHOLD": "0"},
-}
-
-
-def run_tier(source: str, env: dict, *, threaded: bool = False, mode: str = "cpu"):
-    """Run ``source`` under one tier config with a profiler attached.
-
-    Returns every cross-tier observable the equivalence contract covers:
-    program stdout, the scheduler's context-switch count, the canonical
-    profile JSON, and the final simulated cpu/wall clocks (compared as
-    exact floats — the tiers must charge the clock identically, not just
-    approximately).
-    """
-    from repro.core.scalene import Scalene
-
-    saved = {key: os.environ.get(key) for key in env}
-    try:
-        for key, value in env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        process = SimProcess(source, filename="fuzz.py")
-        if threaded:
-            from repro.interp.libs import install_standard_libraries
-
-            install_standard_libraries(process)
-        profiler = Scalene(process, mode=mode)
-        profiler.start()
-        process.run()
-        profile = profiler.stop()
-        return (
-            list(process.stdout),
-            process.scheduler.switch_count,
-            profile.to_json(),
-            process.clock.cpu,
-            process.clock.wall,
+def assert_code_paths_identical(source: str, *, threaded: bool = False, mode: str = "cpu"):
+    codes, results = {}, {}
+    for path in CODE_PATHS:
+        codes[path], results[path] = run_profiled(
+            source, cached=path != "fresh", threaded=threaded, mode=mode
         )
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
-def assert_tiers_identical(source: str, *, threaded: bool = False, mode: str = "cpu"):
-    results = {
-        name: run_tier(source, env, threaded=threaded, mode=mode)
-        for name, env in TIER_ENVS.items()
-    }
-    baseline = results["off"]
-    for name, result in results.items():
+    assert codes["warm"] is codes["cached"], "the warm run did not reuse the cached code"
+    assert codes["fresh"] is not codes["cached"]
+    baseline = results["fresh"]
+    for path, result in results.items():
         assert result == baseline, (
-            f"tier {name!r} diverged from interpreter tier\n"
+            f"{path!r} code object diverged from a fresh compile\n"
             f"--- program ---\n{source}\n"
-            f"off:  switches={baseline[1]} cpu={baseline[3]!r} wall={baseline[4]!r}\n"
-            f"{name}: switches={result[1]} cpu={result[3]!r} wall={result[4]!r}\n"
+            f"fresh: switches={baseline[1]} cpu={baseline[3]!r} wall={baseline[4]!r}\n"
+            f"{path}: switches={result[1]} cpu={result[3]!r} wall={result[4]!r}\n"
             f"stdout equal: {result[0] == baseline[0]}  "
             f"profile equal: {result[2] == baseline[2]}"
         )
 
 
-@pytest.mark.jit
-@pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + NUM_JIT_SEEDS))
+@pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + NUM_SEEDS))
 def test_tier_equivalence(seed):
-    """JIT off / default / forced produce bit-identical stdout, schedule,
-    profile JSON, and clocks on every fuzzed program."""
-    assert_tiers_identical(generate_program(seed))
+    """Fresh, cached and warm code objects produce bit-identical stdout,
+    schedule, profile JSON and clocks on every fuzzed program."""
+    assert_code_paths_identical(generate_program(seed))
 
 
-@pytest.mark.jit
 @pytest.mark.parametrize("seed", range(12))
 def test_tier_equivalence_threaded(seed):
-    """The threaded/async grammar stays tier-invariant: preemption points
-    and the deterministic schedule are unchanged by trace execution."""
-    assert_tiers_identical(generate_threaded_program(seed), threaded=True)
+    """The threaded/async grammar: preemption points and the deterministic
+    schedule do not depend on whether inline caches start cold or warm."""
+    assert_code_paths_identical(generate_threaded_program(seed), threaded=True)
 
 
-@pytest.mark.jit
-@pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + 10))
+@pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + NUM_FULL_MODE_SEEDS))
 def test_tier_equivalence_full_mode(seed):
-    """With memory hooks installed (mode=full) traces take the loud
-    allocation path — per-line memory attribution must still be
-    bit-identical across tiers."""
-    assert_tiers_identical(generate_program(seed), mode="full")
+    """With memory hooks installed (mode=full), per-line memory
+    attribution is bit-identical on cold and warm code objects."""
+    assert_code_paths_identical(generate_program(seed), mode="full")
 
 
 def test_generator_is_deterministic():
