@@ -25,10 +25,11 @@ The same seed replays the same chaos run; ``python -m repro chaos`` and
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.faults.injector import FaultInjector, FaultSpec
 
@@ -47,8 +48,19 @@ CHAOS_WORKLOADS = (
 )
 
 
+class _Report:
+    """What every chaos report shares: a verdict and a JSON form."""
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    def to_dict(self) -> Dict:
+        return {"ok": self.ok, **dataclasses.asdict(self)}
+
+
 @dataclass
-class ChaosReport:
+class ChaosReport(_Report):
     """Everything :func:`run_chaos` measured and asserted."""
 
     seed: int
@@ -69,21 +81,6 @@ class ChaosReport:
     @property
     def ok(self) -> bool:
         return not (self.problems or self.violations or self.counter_mismatches)
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "jobs": self.jobs,
-            "healing": self.healing,
-            "store_faults": self.store_faults,
-            "profiles_stored": self.profiles_stored,
-            "profiles_after_rebuild": self.profiles_after_rebuild,
-            "recovery": self.recovery,
-            "problems": self.problems,
-            "violations": self.violations,
-            "counter_mismatches": self.counter_mismatches,
-        }
 
     def summary(self) -> str:
         done = sum(1 for j in self.jobs if j["status"] == "done")
@@ -198,7 +195,7 @@ def run_chaos(
             for spec in specs
         ]
         job_ids = [job["id"] for job in submitted]
-        _wait_all(client, job_ids, wait_s)
+        _wait_ended(report.problems, client, submitted, wait_s)
         final = {job["id"]: job for job in client.jobs() if job["id"] in set(job_ids)}
         report.healing = client.health()["healing"]
 
@@ -301,20 +298,36 @@ def run_chaos(
     return report
 
 
-def _wait_all(client, job_ids: List[str], wait_s: float) -> None:
-    """Poll until every job is terminal (jobs that error don't raise)."""
+def _wait_for(problems: List[str], what: str, probe: Callable, wait_s: float):
+    """Poll ``probe()`` until it returns something truthy; return that.
+
+    On timeout, records which wait ran out in ``problems`` and returns
+    ``None``.
+    """
     deadline = time.monotonic() + wait_s
-    pending = set(job_ids)
-    while pending and time.monotonic() < deadline:
-        for job in client.jobs():
-            if job["id"] in pending and job["status"] in ("done", "error"):
-                pending.discard(job["id"])
-        if pending:
-            time.sleep(0.05)
+    while True:
+        result = probe()
+        if result:
+            return result
+        if time.monotonic() >= deadline:
+            problems.append(f"timed out after {wait_s:.0f}s waiting for {what}")
+            return None
+        time.sleep(0.05)
+
+
+def _wait_ended(problems: List[str], client, jobs: List[Dict], wait_s: float) -> None:
+    """Wait until every job in ``jobs`` is terminal (errored ones count)."""
+    from repro.serve.jobs import TERMINAL
+
+    def ended():
+        statuses = {job["id"]: job["status"] for job in client.jobs()}
+        return all(statuses.get(job["id"]) in TERMINAL for job in jobs)
+
+    _wait_for(problems, "every job to end", ended, wait_s)
 
 
 @dataclass
-class ShardChaosReport:
+class ShardChaosReport(_Report):
     """Everything :func:`run_shard_chaos` measured and asserted."""
 
     seed: int
@@ -330,26 +343,6 @@ class ShardChaosReport:
     degraded_reads: List[Dict] = field(default_factory=list)
     revived: bool = False
     problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "shards": self.shards,
-            "ok": self.ok,
-            "submitted": self.submitted,
-            "done": self.done,
-            "killed_shard": self.killed_shard,
-            "done_before_kill": self.done_before_kill,
-            "redispatched": self.redispatched,
-            "victim_key": self.victim_key,
-            "degraded_reads": self.degraded_reads,
-            "revived": self.revived,
-            "problems": self.problems,
-        }
 
     def summary(self) -> str:
         lines = [
@@ -449,20 +442,17 @@ def run_shard_chaos(
 
         # Let the plane make progress — including the victim key's job —
         # then kill the victim while the rest is still in flight.
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
+        def kill_ready():
             ledger = {j["id"]: j for j in client.jobs()}
             finished = [j for j in ledger.values() if j["status"] == "done"]
-            if (
-                len(finished) >= kill_after
-                and ledger[target["id"]]["status"] == "done"
-            ):
-                break
-            time.sleep(0.05)
-        else:
-            report.problems.append(
-                f"never reached {kill_after} completions before the kill"
-            )
+            if len(finished) >= kill_after and ledger[target["id"]]["status"] == "done":
+                return finished
+
+        finished = _wait_for(
+            report.problems, f"{kill_after} completions before the kill",
+            kill_ready, wait_s,
+        )
+        if finished is None:
             return report
         report.done_before_kill = len(finished)
         if report.done_before_kill == report.submitted:
@@ -473,12 +463,7 @@ def run_shard_chaos(
         plane.kill(victim)
 
         # Every accepted job must still finish exactly once.
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
-            ledger = {j["id"]: j for j in client.jobs()}
-            if all(j["status"] in ("done", "error") for j in ledger.values()):
-                break
-            time.sleep(0.05)
+        _wait_ended(report.problems, client, accepted, wait_s)
         ledger = {j["id"]: j for j in client.jobs()}
         if len(ledger) != report.submitted:
             report.problems.append(
@@ -535,13 +520,11 @@ def run_shard_chaos(
         # routes to its primary again, undegraded.
         if revive:
             plane.revive(victim)
-            deadline = time.monotonic() + min(wait_s, 30.0)
-            while time.monotonic() < deadline:
-                if victim in client.health()["shards"]["live"]:
-                    break
-                time.sleep(0.05)
-            else:
-                report.problems.append(f"{victim} never marked back up after revive")
+            if not _wait_for(
+                report.problems, f"{victim} to be marked back up after revive",
+                lambda: victim in client.health()["shards"]["live"],
+                min(wait_s, 30.0),
+            ):
                 return report
             report.revived = True
             healthy = _routed_trend_check(client, report.victim_key, expected_ids)
@@ -585,7 +568,7 @@ def _routed_trend_check(client, key: Dict[str, str], expected_ids) -> Dict:
 
 
 @dataclass
-class GatewayChaosReport:
+class GatewayChaosReport(_Report):
     """Everything :func:`run_gateway_chaos` measured and asserted."""
 
     seed: int
@@ -599,26 +582,6 @@ class GatewayChaosReport:
     unique_profiles: int = 0
     wal: Dict[str, int] = field(default_factory=dict)
     problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "shards": self.shards,
-            "ok": self.ok,
-            "submitted": self.submitted,
-            "done": self.done,
-            "done_before_kill": self.done_before_kill,
-            "recovered": self.recovered,
-            "recovered_requeued": self.recovered_requeued,
-            "deduped_resubmit": self.deduped_resubmit,
-            "unique_profiles": self.unique_profiles,
-            "wal": self.wal,
-            "problems": self.problems,
-        }
 
     def summary(self) -> str:
         lines = [
@@ -697,16 +660,15 @@ def run_gateway_chaos(
         report.submitted = len(accepted)
 
         # Let some jobs finish, keep the rest in flight, then crash-stop.
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
+        def kill_ready():
             done = [j for j in client.jobs() if j["status"] == "done"]
-            if len(done) >= kill_after:
-                break
-            time.sleep(0.01)
-        else:
-            report.problems.append(
-                f"never reached {kill_after} completions before the kill"
-            )
+            return done if len(done) >= kill_after else None
+
+        done = _wait_for(
+            report.problems, f"{kill_after} completions before the kill",
+            kill_ready, wait_s,
+        )
+        if done is None:
             return report
         report.done_before_kill = len(done)
         gateway.kill()
@@ -750,15 +712,7 @@ def run_gateway_chaos(
             )
 
         # Every accepted job still completes exactly once.
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
-            ledger = {j["id"]: j for j in client.jobs()}
-            if all(
-                ledger.get(j["id"], {}).get("status") in ("done", "error")
-                for j in accepted
-            ):
-                break
-            time.sleep(0.05)
+        _wait_ended(report.problems, client, accepted, wait_s)
         ledger = {j["id"]: j for j in client.jobs()}
         profile_ids = []
         for job in accepted:
@@ -796,7 +750,7 @@ def run_gateway_chaos(
 
 
 @dataclass
-class ReshardChaosReport:
+class ReshardChaosReport(_Report):
     """Everything :func:`run_reshard_chaos` measured and asserted."""
 
     seed: int
@@ -811,27 +765,6 @@ class ReshardChaosReport:
     entries_copied: int = 0
     reads_during_migration: int = 0
     problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "shards_before": self.shards_before,
-            "shards_after": self.shards_after,
-            "submitted": self.submitted,
-            "done": self.done,
-            "epoch_before": self.epoch_before,
-            "epoch_after": self.epoch_after,
-            "keys_total": self.keys_total,
-            "keys_moved": self.keys_moved,
-            "entries_copied": self.entries_copied,
-            "reads_during_migration": self.reads_during_migration,
-            "problems": self.problems,
-        }
 
     def summary(self) -> str:
         lines = [
@@ -903,19 +836,14 @@ def run_reshard_chaos(
         report.submitted = len(accepted)
         report.epoch_before = router.epoch
 
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
-            warm_done = [
-                j for j in client.jobs()
-                if j["status"] == "done" and j["profile_id"]
-            ]
-            if len(warm_done) >= warm:
-                break
-            time.sleep(0.05)
-        else:
-            report.problems.append(
-                f"never reached {warm} completions before the reshard"
-            )
+        def warmed():
+            done = [j for j in client.jobs() if j["status"] == "done" and j["profile_id"]]
+            return done if len(done) >= warm else None
+
+        warm_done = _wait_for(
+            report.problems, f"{warm} completions before the reshard", warmed, wait_s
+        )
+        if warm_done is None:
             return report
         warm_ids = [j["profile_id"] for j in warm_done]
 
@@ -923,8 +851,7 @@ def run_reshard_chaos(
 
         # Reads must be served from old-or-new owners for the whole
         # migration window.
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
+        def migrated():
             status = client._request("/reshard")
             for profile_id in warm_ids:
                 try:
@@ -935,11 +862,10 @@ def run_reshard_chaos(
                         f"profile {profile_id[:12]} unreadable during "
                         f"migration ({status['state']}): {exc}"
                     )
-            if status["state"] in ("done", "failed", "idle"):
-                break
-            time.sleep(0.05)
-        else:
-            report.problems.append("reshard never finished")
+            return status if status["state"] in ("done", "failed", "idle") else None
+
+        status = _wait_for(report.problems, "the reshard to finish", migrated, wait_s)
+        if status is None:
             return report
         if status["state"] != "done":
             report.problems.append(
@@ -964,15 +890,7 @@ def run_reshard_chaos(
             report.problems.append("router still migrating after reshard done")
 
         # Every accepted job still completes.
-        deadline = time.monotonic() + wait_s
-        while time.monotonic() < deadline:
-            ledger = {j["id"]: j for j in client.jobs()}
-            if all(
-                ledger.get(j["id"], {}).get("status") in ("done", "error")
-                for j in accepted
-            ):
-                break
-            time.sleep(0.05)
+        _wait_ended(report.problems, client, accepted, wait_s)
         ledger = {j["id"]: j for j in client.jobs()}
         for job in accepted:
             final = ledger.get(job["id"])

@@ -13,8 +13,10 @@ profiles persist, merge across runs and processes, and stay queryable):
 * :mod:`repro.serve.jobs` — the profiling-job model and the worker-side
   job executor;
 * :mod:`repro.serve.daemon` — ``python -m repro serve``: a
-  multiprocessing worker pool fed from a job queue behind a
-  stdlib-``http.server`` JSON API;
+  multiprocessing worker pool fed from a job queue behind a JSON API;
+* :mod:`repro.serve.httpapi` — the HTTP server both the daemon and the
+  gateway run: a stdlib threaded server over a ``(method, path)``
+  route table, with one error-to-status mapping and one pagination;
 * :mod:`repro.serve.client` — the urllib client used by
   ``python -m repro submit`` / ``repro profiles``.
 
@@ -30,9 +32,9 @@ The scale-out plane (``python -m repro serve --shards N``, DESIGN.md
   read-replica failover;
 * :mod:`repro.serve.shard` — boots the shard daemons and wires
   synchronous idempotent replication between them;
-* :mod:`repro.serve.frontend` — the selectors-based async gateway:
-  batched job submission, a durable acceptance ledger with re-dispatch
-  on shard death, and chunked fan-out reads;
+* :mod:`repro.serve.frontend` — the gateway: batched job submission,
+  a durable acceptance ledger with re-dispatch on shard death, and
+  routed or fanned-out reads;
 * :mod:`repro.serve.loadgen` — the submission load generator behind
   ``python -m repro loadgen`` and ``benchmarks/bench_serve_scale.py``.
 

@@ -32,9 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.profile_data import ProfileData
 from repro.errors import ServeError
 from repro.serve.healing import RetryPolicy
-
-#: Job states that will never change again.
-TERMINAL_STATUSES = ("done", "error")
+from repro.serve.jobs import TERMINAL
 
 #: POST paths that are safe to retry (content-addressed writes).
 _IDEMPOTENT_POSTS = ("/merge", "/replicate")
@@ -186,7 +184,7 @@ class ServeClient:
         deadline = time.monotonic() + timeout
         while True:
             job = self.job(job_id)
-            if job["status"] in TERMINAL_STATUSES:
+            if job["status"] in TERMINAL:
                 if job["status"] == "error":
                     raise ServeError(f"job {job_id} failed: {job['error']}")
                 return job

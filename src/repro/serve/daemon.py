@@ -14,9 +14,10 @@
 * The daemon process is the store's only writer: worker results are
   persisted on arrival, keyed by
   ``(workload, profiler, config hash, git tree hash)``.
-* The API is stdlib ``http.server`` serving JSON; profile payloads
-  render through the existing :mod:`repro.ui` backends
-  (``render_json`` / ``render_html``).
+* The API is a route table on the shared :mod:`repro.serve.httpapi`
+  server (the gateway runs the same one); profile payloads render
+  through the existing :mod:`repro.ui` backends (``render_json`` /
+  ``render_html``).
 
 Self-healing (see DESIGN.md §8). The daemon assumes workers fail and
 heals around them rather than trusting them:
@@ -84,20 +85,27 @@ from __future__ import annotations
 import json
 import queue
 import signal as signal_module
-import socket
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Union
-from urllib.parse import parse_qs, urlparse
 
 from repro.core.profile_data import ProfileData
 from repro.errors import ReproError, ServeError, StoreError
 from repro.serve.aggregate import diff_stored, find_regressions, merge_stored, trend
+from repro.serve.client import ServeClient
 from repro.serve.healing import CircuitBreaker, RetryPolicy
-from repro.serve.jobs import Job, execute_job, new_job
+from repro.serve.httpapi import JsonServer, Request, Routes, page_params, paginate
+from repro.serve.jobs import (
+    JOB_STATUSES,
+    TERMINAL,
+    Job,
+    execute_job,
+    find_submitted,
+    new_job,
+    pop_submit_key,
+)
 from repro.serve.router import shard_key
 from repro.serve.store import ProfileStore, config_hash, git_tree_hash
 from repro.serve.streaming import StreamingAggregator
@@ -178,9 +186,7 @@ class ProfileDaemon:
             "replication_failures": 0,
             "replicated_in": 0,
         }
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.profile_daemon = self
+        self._server = JsonServer((host, port), _routes(self))
         self._threads: List[threading.Thread] = []
         self._started = False
         self._stopping = False
@@ -191,11 +197,11 @@ class ProfileDaemon:
 
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._server.server_address[0]
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self._server.server_address[1]
 
     @property
     def url(self) -> str:
@@ -212,12 +218,9 @@ class ProfileDaemon:
         monitor = threading.Thread(
             target=self._monitor_loop, name="repro-serve-monitor", daemon=True
         )
-        server = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve-http", daemon=True
-        )
-        self._threads = [dispatcher, monitor, server]
-        for thread in self._threads:
-            thread.start()
+        dispatcher.start()
+        monitor.start()
+        self._threads = [dispatcher, monitor, self._server.start("repro-serve-http")]
 
     def stop(self) -> None:
         """Shut down now: cancel pending work, join every thread."""
@@ -226,15 +229,7 @@ class ProfileDaemon:
                 return
             self._stopping = True
         self._stop_event.set()
-        self._httpd.shutdown()
-        # Pool workers forked later (by any daemon in this process) share
-        # the listening socket; closing only this descriptor would leave
-        # it accepting connects that nobody serves until a read timeout.
-        try:
-            self._httpd.socket.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._httpd.server_close()
+        self._server.close()
         self._queue.put(_SHUTDOWN)
         with self._lock:
             for job_id, future in list(self._inflight.items()):
@@ -313,42 +308,21 @@ class ProfileDaemon:
         with self._lock:
             if self._draining or self._stopping:
                 raise ServeError("daemon is draining; not accepting new jobs")
-        submit_key = None
-        if isinstance(payload, dict) and "submit_key" in payload:
-            payload = dict(payload)
-            submit_key = payload.pop("submit_key")
-            if not isinstance(submit_key, str) or not submit_key:
-                raise ServeError("submit_key must be a non-empty string")
-            with self._lock:
-                prior = self._deduped_job_locked(submit_key)
-                if prior is not None:
-                    return prior
+        payload, submit_key = pop_submit_key(payload)
+        with self._lock:
+            prior = find_submitted(self._submit_keys, self._jobs, submit_key)
+        if prior is not None:
+            return prior
         job = new_job(payload)
         with self._lock:
+            prior = find_submitted(self._submit_keys, self._jobs, submit_key)
+            if prior is not None:
+                return prior
             if submit_key is not None:
-                # Two racing submissions with one key: first one wins.
-                prior = self._deduped_job_locked(submit_key)
-                if prior is not None:
-                    return prior
                 self._submit_keys[submit_key] = job.id
                 self._evict_submit_keys_locked()
             self._jobs[job.id] = job
         self._queue.put(job.id)
-        return job
-
-    def _deduped_job_locked(self, submit_key: str) -> Optional[Job]:
-        """The job ``submit_key`` named before, or ``None`` if unseen.
-
-        Caller holds ``self._lock``. A key whose job record no longer
-        exists (pruned, or lost to a restart) is dropped and the key
-        treated as new — returning a dangling id would KeyError.
-        """
-        existing = self._submit_keys.get(submit_key)
-        if existing is None:
-            return None
-        job = self._jobs.get(existing)
-        if job is None:
-            del self._submit_keys[submit_key]
         return job
 
     def _evict_submit_keys_locked(self) -> None:
@@ -366,7 +340,7 @@ class ProfileDaemon:
             if overflow <= 0:
                 break
             job = self._jobs.get(self._submit_keys[key])
-            if job is None or job.status in ("done", "error"):
+            if job is None or job.status in TERMINAL:
                 del self._submit_keys[key]
                 overflow -= 1
 
@@ -383,7 +357,7 @@ class ProfileDaemon:
 
     def health(self) -> Dict:
         with self._lock:
-            counts = {status: 0 for status in ("queued", "running", "done", "error")}
+            counts = {status: 0 for status in JOB_STATUSES}
             for job in self._jobs.values():
                 counts[job.status] += 1
             healing = dict(self.stats)
@@ -484,32 +458,20 @@ class ProfileDaemon:
         targets = self._replication_targets(entry)
         if not targets:
             return
-        import urllib.request
-
-        body = json.dumps(
-            {
-                "entry": entry,
-                "profile": profile.to_dict(),
-                "epoch": self.router.epoch,
-            }
-        ).encode("utf-8")
+        body = {"entry": entry, "profile": profile.to_dict(), "epoch": self.router.epoch}
         for target in targets:
             try:
-                request = urllib.request.Request(
-                    f"{self.router.url(target)}/replicate",
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                    method="POST",
-                )
-                with urllib.request.urlopen(
-                    request, timeout=self.replicate_timeout_s
-                ) as response:
-                    response.read()
+                ServeClient(
+                    self.router.url(target),
+                    timeout=self.replicate_timeout_s,
+                    connect_timeout_s=None,
+                    retry=RetryPolicy(1),
+                )._request("/replicate", body=body)
                 with self._lock:
                     self.stats["replications"] += 1
-            except (OSError, ServeError):
-                # ServeError: the target was decommissioned between the
-                # placement decision and the send — a benign race.
+            except ServeError:
+                # Also raised when the target was decommissioned between
+                # the placement decision and the send — a benign race.
                 with self._lock:
                     self.stats["replication_failures"] += 1
 
@@ -811,334 +773,241 @@ def _dispose_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to the owning :class:`ProfileDaemon`."""
+def _routes(daemon: ProfileDaemon) -> Routes:
+    """The daemon's HTTP API (endpoint list in the module docstring)."""
+    store = daemon.store
 
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
+    def profiles(request: Request) -> Dict:
+        entries = store.find(
+            workload=request.query.get("workload"),
+            profiler=request.query.get("profiler"),
+            config_hash=request.query.get("config_hash"),
+            tree_hash=request.query.get("tree_hash"),
+        )
+        limit, offset = page_params(request.query)
+        return {
+            "profiles": paginate(entries, limit, offset),
+            "total": len(entries),
+            "limit": limit,
+            "offset": offset,
+        }
 
-    @property
-    def daemon(self) -> ProfileDaemon:
-        return self.server.profile_daemon
+    def diff(request: Request) -> Dict:
+        query = request.query
+        if "a" not in query or "b" not in query:
+            raise ServeError("diff needs ?a=<id>&b=<id>")
+        return {"diff": diff_stored(store, query["a"], query["b"]).to_dict()}
 
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        pass  # keep the test/CI output clean
+    def shards(request: Request) -> Dict:
+        if daemon.router is None:
+            raise ServeError("this daemon is not part of a shard plane")
+        return daemon.router.describe()
 
-    # -- responses ------------------------------------------------------
+    def by_id(endpoint: str, view):
+        def handler(request: Request) -> Dict:
+            if "id" not in request.query:
+                raise ServeError(f"{endpoint} needs ?id=<profile_id>")
+            return view(daemon, request.query["id"])
 
-    def _send(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        return handler
 
-    def _json(self, payload: Dict, status: int = 200) -> None:
-        self._send(status, json.dumps(payload, indent=2) + "\n", "application/json")
-
-    def _error(self, status: int, message: str) -> None:
-        self._json({"error": message}, status=status)
-
-    def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ServeError("request body must be a JSON object")
-        try:
-            payload = json.loads(raw)
-        except ValueError as exc:
-            raise ServeError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ServeError("request body must be a JSON object")
-        return payload
-
-    #: Listing endpoints cap their payload unless the caller pages
-    #: explicitly; ``limit=0`` requests everything.
-    DEFAULT_PAGE_LIMIT = 500
-
-    def _page_params(self, query: Dict) -> "tuple":
-        try:
-            limit = int(query.get("limit", self.DEFAULT_PAGE_LIMIT))
-            offset = int(query.get("offset", 0))
-        except ValueError as exc:
-            raise ServeError(f"limit/offset must be integers: {exc}") from None
-        if limit < 0 or offset < 0:
-            raise ServeError("limit/offset must be non-negative")
-        return limit, offset
-
-    @staticmethod
-    def _paginate(items: List, limit: int, offset: int) -> List:
-        items = items[offset:] if offset else items
-        return items[:limit] if limit else items
-
-    # -- routing --------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib casing
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        query = {k: v[0] for k, v in parse_qs(url.query).items()}
-        try:
-            if parts == ["health"]:
-                self._json(self.daemon.health())
-            elif parts == ["jobs"]:
-                self._json({"jobs": [j.to_dict() for j in self.daemon.jobs()]})
-            elif len(parts) == 2 and parts[0] == "jobs":
-                self._json({"job": self.daemon.job(parts[1]).to_dict()})
-            elif parts == ["profiles"]:
-                entries = self.daemon.store.find(
-                    workload=query.get("workload"),
-                    profiler=query.get("profiler"),
-                    config_hash=query.get("config_hash"),
-                    tree_hash=query.get("tree_hash"),
-                )
-                limit, offset = self._page_params(query)
-                self._json(
-                    {
-                        "profiles": self._paginate(entries, limit, offset),
-                        "total": len(entries),
-                        "limit": limit,
-                        "offset": offset,
-                    }
-                )
-            elif len(parts) == 2 and parts[0] == "profiles":
-                self._get_profile(parts[1], query)
-            elif parts == ["diff"]:
-                if "a" not in query or "b" not in query:
-                    raise ServeError("diff needs ?a=<id>&b=<id>")
-                diff = diff_stored(self.daemon.store, query["a"], query["b"])
-                self._json({"diff": diff.to_dict()})
-            elif parts == ["trend"]:
-                self._trend(query)
-            elif parts == ["sketch"]:
-                self._sketch(query)
-            elif parts == ["shards"]:
-                if self.daemon.router is None:
-                    raise ServeError("this daemon is not part of a shard plane")
-                self._json(self.daemon.router.describe())
-            elif parts == ["crossflow"]:
-                if "id" not in query:
-                    raise ServeError("crossflow needs ?id=<profile_id>")
-                self._crossflow(query["id"])
-            elif parts == ["contention"]:
-                if "id" not in query:
-                    raise ServeError("contention needs ?id=<profile_id>")
-                self._contention(query["id"])
-            else:
-                self._error(404, f"unknown endpoint GET {url.path}")
-        except StoreError as exc:
-            self._error(404, str(exc))
-        except ReproError as exc:
-            self._error(400, str(exc))
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib casing
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if parts == ["jobs"]:
-                job = self.daemon.submit(self._read_body())
-                self._json({"job": job.to_dict()}, status=202)
-            elif parts == ["merge"]:
-                body = self._read_body()
-                ids = body.get("ids")
-                if ids is None:
-                    # Sketch-backed merge view of an index slice: the
-                    # combined per-line statistics without replaying the
-                    # constituent profiles (no new profile is stored).
-                    self._sketch(
-                        {
-                            k: body[k]
-                            for k in ("workload", "profiler", "config_hash")
-                            if body.get(k) is not None
-                        }
-                    )
-                    return
-                if not isinstance(ids, list) or len(ids) < 2:
-                    raise ServeError("merge needs {'ids': [<id>, <id>, ...]}")
-                merged_id, merged = merge_stored(self.daemon.store, ids)
-                self._json(
-                    {"id": merged_id, "profile": merged.to_dict()}, status=201
-                )
-            elif parts == ["replicate"]:
-                body = self._read_body()
-                entry = body.get("entry")
-                profile = body.get("profile")
-                if not isinstance(entry, dict) or not isinstance(profile, dict):
-                    raise ServeError(
-                        "replicate needs {'entry': {...}, 'profile': {...}}"
-                    )
-                self._json(
-                    self.daemon.accept_replica(
-                        entry, profile, epoch=body.get("epoch")
-                    ),
-                    status=201,
-                )
-            else:
-                self._error(404, f"unknown endpoint POST {url.path}")
-        except StoreError as exc:
-            self._error(404, str(exc))
-        except ReproError as exc:
-            self._error(400, str(exc))
-
-    def _trend(self, query: Dict) -> None:
-        """Trend answers: streaming sketch by default, ``?exact=1`` replays.
-
-        A ``tree_hash`` filter also forces the exact path — sketches are
-        keyed on ``(workload, profiler, config_hash)`` only.
-        """
-        limit, offset = self._page_params(query)
-        exact = query.get("exact") in ("1", "true", "yes") or "tree_hash" in query
-        if exact:
-            points = trend(
-                self.daemon.store,
-                workload=query.get("workload"),
-                profiler=query.get("profiler"),
-                config_hash=query.get("config_hash"),
-                tree_hash=query.get("tree_hash"),
-            )
-            self._json(
+    def merge(request: Request):
+        body = request.json()
+        ids = body.get("ids")
+        if ids is None:
+            # Sketch-backed merge view of an index slice: the combined
+            # per-line statistics without replaying the constituent
+            # profiles (no new profile is stored).
+            return _sketch(
+                daemon,
                 {
-                    "trend": self._paginate(points, limit, offset),
-                    "regressions": find_regressions(points),
-                    "source": "exact",
-                    "total": len(points),
-                    "limit": limit,
-                    "offset": offset,
-                }
+                    k: body[k]
+                    for k in ("workload", "profiler", "config_hash")
+                    if body.get(k) is not None
+                },
             )
-            return
-        daemon = self.daemon
-        with daemon._agg_lock:
-            sketch = daemon.aggregator.sketch(
-                workload=query.get("workload"),
-                profiler=query.get("profiler"),
-                config_hash=query.get("config_hash"),
-            )
-            if sketch is None:
-                self._json(
-                    {
-                        "trend": [],
-                        "regressions": [],
-                        "source": "sketch",
-                        "total": 0,
-                        "limit": limit,
-                        "offset": offset,
-                    }
-                )
-                return
-            payload = {
-                "trend": sketch.trend_points(limit, offset),
-                "regressions": sketch.regressions(),
-                "summary": sketch.summary(),
+        if not isinstance(ids, list) or len(ids) < 2:
+            raise ServeError("merge needs {'ids': [<id>, <id>, ...]}")
+        merged_id, merged = merge_stored(store, ids)
+        return 201, {"id": merged_id, "profile": merged.to_dict()}
+
+    def replicate(request: Request):
+        body = request.json()
+        entry = body.get("entry")
+        profile = body.get("profile")
+        if not isinstance(entry, dict) or not isinstance(profile, dict):
+            raise ServeError("replicate needs {'entry': {...}, 'profile': {...}}")
+        return 201, daemon.accept_replica(entry, profile, epoch=body.get("epoch"))
+
+    return {
+        ("GET", "health"): lambda request: daemon.health(),
+        ("POST", "jobs"): lambda request: (
+            202,
+            {"job": daemon.submit(request.json()).to_dict()},
+        ),
+        # Unpaged: the gateway's poller reads the whole listing to spot
+        # jobs a restarted shard lost.
+        ("GET", "jobs"): lambda request: {"jobs": [j.to_dict() for j in daemon.jobs()]},
+        ("GET", "jobs", "*"): lambda request: {
+            "job": daemon.job(request.parts[1]).to_dict()
+        },
+        ("GET", "profiles"): profiles,
+        ("GET", "profiles", "*"): lambda request: _get_profile(
+            daemon, request.parts[1], request.query
+        ),
+        ("GET", "diff"): diff,
+        ("GET", "trend"): lambda request: _trend(daemon, request.query),
+        ("GET", "sketch"): lambda request: _sketch(daemon, request.query),
+        ("GET", "shards"): shards,
+        ("GET", "crossflow"): by_id("crossflow", _crossflow),
+        ("GET", "contention"): by_id("contention", _contention),
+        ("POST", "merge"): merge,
+        ("POST", "replicate"): replicate,
+    }
+
+
+def _trend(daemon: ProfileDaemon, query: Dict) -> Dict:
+    """Trend answers: streaming sketch by default, ``?exact=1`` replays.
+
+    A ``tree_hash`` filter also forces the exact path — sketches are
+    keyed on ``(workload, profiler, config_hash)`` only.
+    """
+    limit, offset = page_params(query)
+    exact = query.get("exact") in ("1", "true", "yes") or "tree_hash" in query
+    if exact:
+        points = trend(
+            daemon.store,
+            workload=query.get("workload"),
+            profiler=query.get("profiler"),
+            config_hash=query.get("config_hash"),
+            tree_hash=query.get("tree_hash"),
+        )
+        return {
+            "trend": paginate(points, limit, offset),
+            "regressions": find_regressions(points),
+            "source": "exact",
+            "total": len(points),
+            "limit": limit,
+            "offset": offset,
+        }
+    with daemon._agg_lock:
+        sketch = daemon.aggregator.sketch(
+            workload=query.get("workload"),
+            profiler=query.get("profiler"),
+            config_hash=query.get("config_hash"),
+        )
+        if sketch is None:
+            return {
+                "trend": [],
+                "regressions": [],
                 "source": "sketch",
-                "total": len(sketch.recent),
+                "total": 0,
                 "limit": limit,
                 "offset": offset,
             }
-        self._json(payload)
+        return {
+            "trend": sketch.trend_points(limit, offset),
+            "regressions": sketch.regressions(),
+            "summary": sketch.summary(),
+            "source": "sketch",
+            "total": len(sketch.recent),
+            "limit": limit,
+            "offset": offset,
+        }
 
-    def _sketch(self, query: Dict) -> None:
-        """Streaming per-line statistics for one index slice."""
-        daemon = self.daemon
-        want_state = query.get("state") in ("1", "true", "yes")
-        try:
-            top = int(query.get("top", 50))
-        except ValueError as exc:
-            raise ServeError(f"top must be an integer: {exc}") from None
-        with daemon._agg_lock:
-            if want_state:
-                self._json({"state": daemon.aggregator.to_dict()})
-                return
-            sketch = daemon.aggregator.sketch(
-                workload=query.get("workload"),
-                profiler=query.get("profiler"),
-                config_hash=query.get("config_hash"),
-            )
-            if sketch is None:
-                self._json({"summary": None, "lines": [], "keys": daemon.aggregator.keys()})
-                return
-            payload = {
-                "summary": sketch.summary(),
-                "lines": sketch.line_table(top),
-                "regressions": sketch.regressions(),
-                "keys": daemon.aggregator.keys(),
-            }
-        self._json(payload)
 
-    def _crossflow(self, profile_id: str) -> None:
-        """Join a stored profile's crossing counters with the boundary
-        lints of its workload's source, rebuilt from the registry (the
-        source templates keep line numbers stable across scales)."""
-        from repro.analysis.crossflow import analyze_crossflow
-        from repro.workloads import get_workload
-
-        store = self.daemon.store
-        profile = store.get(profile_id)
-        entry = store.entry(profile_id)
-        workload_name = entry.get("workload") or ""
-        if not workload_name:
-            raise ServeError(
-                f"profile {profile_id} carries no workload metadata "
-                "(merged profiles are not supported)"
-            )
-        workload = get_workload(workload_name)
-        findings = analyze_crossflow(
-            workload.source(1.0), profile, f"{workload_name}.py"
+def _sketch(daemon: ProfileDaemon, query: Dict) -> Dict:
+    """Streaming per-line statistics for one index slice."""
+    want_state = query.get("state") in ("1", "true", "yes")
+    try:
+        top = int(query.get("top", 50))
+    except ValueError as exc:
+        raise ServeError(f"top must be an integer: {exc}") from None
+    with daemon._agg_lock:
+        if want_state:
+            return {"state": daemon.aggregator.to_dict()}
+        sketch = daemon.aggregator.sketch(
+            workload=query.get("workload"),
+            profiler=query.get("profiler"),
+            config_hash=query.get("config_hash"),
         )
-        self._json(
+        if sketch is None:
+            return {"summary": None, "lines": [], "keys": daemon.aggregator.keys()}
+        return {
+            "summary": sketch.summary(),
+            "lines": sketch.line_table(top),
+            "regressions": sketch.regressions(),
+            "keys": daemon.aggregator.keys(),
+        }
+
+
+def _crossflow(daemon: ProfileDaemon, profile_id: str) -> Dict:
+    """Join a stored profile's crossing counters with the boundary
+    lints of its workload's source, rebuilt from the registry (the
+    source templates keep line numbers stable across scales)."""
+    from repro.analysis.crossflow import analyze_crossflow
+    from repro.workloads import get_workload
+
+    store = daemon.store
+    profile = store.get(profile_id)
+    entry = store.entry(profile_id)
+    workload_name = entry.get("workload") or ""
+    if not workload_name:
+        raise ServeError(
+            f"profile {profile_id} carries no workload metadata "
+            "(merged profiles are not supported)"
+        )
+    workload = get_workload(workload_name)
+    findings = analyze_crossflow(workload.source(1.0), profile, f"{workload_name}.py")
+    return {
+        "id": entry["id"],
+        "workload": workload_name,
+        "crossings": {
+            "total": profile.total_crossings,
+            "overhead_s": profile.total_crossing_overhead_s,
+            "bytes_to_native": profile.total_bytes_to_native,
+            "bytes_to_python": profile.total_bytes_to_python,
+        },
+        "findings": [f.to_dict() for f in findings],
+    }
+
+
+def _contention(daemon: ProfileDaemon, profile_id: str) -> Dict:
+    """A stored profile's lock-contention view: totals, the per-line
+    blocked-time table, and the who-blocks-whom edge list."""
+    store = daemon.store
+    profile = store.get(profile_id)
+    entry = store.entry(profile_id)
+    return {
+        "id": entry["id"],
+        "locks": {
+            "blocked_s": profile.total_lock_blocked_s,
+            "contentions": profile.total_lock_contentions,
+            "acquisitions": profile.total_lock_acquisitions,
+        },
+        "lines": [
             {
-                "id": entry["id"],
-                "workload": workload_name,
-                "crossings": {
-                    "total": profile.total_crossings,
-                    "overhead_s": profile.total_crossing_overhead_s,
-                    "bytes_to_native": profile.total_bytes_to_native,
-                    "bytes_to_python": profile.total_bytes_to_python,
-                },
-                "findings": [f.to_dict() for f in findings],
+                "filename": line.filename,
+                "lineno": line.lineno,
+                "blocked_s": line.lock_blocked_s,
+                "contentions": line.lock_contentions,
+                "acquisitions": line.lock_acquisitions,
             }
-        )
+            for line in sorted(profile.lines, key=lambda l: -l.lock_blocked_s)
+            if line.lock_contentions > 0 or line.lock_acquisitions > 0
+        ],
+        "edges": [edge.to_dict() for edge in profile.lock_edges],
+    }
 
-    def _contention(self, profile_id: str) -> None:
-        """A stored profile's lock-contention view: totals, the per-line
-        blocked-time table, and the who-blocks-whom edge list."""
-        store = self.daemon.store
-        profile = store.get(profile_id)
+
+def _get_profile(daemon: ProfileDaemon, profile_id: str, query: Dict):
+    """The stored profile as JSON, or as the HTML report (a ``str``)."""
+    store = daemon.store
+    profile = store.get(profile_id)
+    fmt = query.get("format", "json")
+    if fmt == "html":
+        return render_html(profile, title=profile_id[:12])
+    if fmt == "json":
         entry = store.entry(profile_id)
-        self._json(
-            {
-                "id": entry["id"],
-                "locks": {
-                    "blocked_s": profile.total_lock_blocked_s,
-                    "contentions": profile.total_lock_contentions,
-                    "acquisitions": profile.total_lock_acquisitions,
-                },
-                "lines": [
-                    {
-                        "filename": line.filename,
-                        "lineno": line.lineno,
-                        "blocked_s": line.lock_blocked_s,
-                        "contentions": line.lock_contentions,
-                        "acquisitions": line.lock_acquisitions,
-                    }
-                    for line in sorted(
-                        profile.lines, key=lambda l: -l.lock_blocked_s
-                    )
-                    if line.lock_contentions > 0 or line.lock_acquisitions > 0
-                ],
-                "edges": [edge.to_dict() for edge in profile.lock_edges],
-            }
-        )
-
-    def _get_profile(self, profile_id: str, query: Dict) -> None:
-        store = self.daemon.store
-        profile = store.get(profile_id)
-        fmt = query.get("format", "json")
-        if fmt == "html":
-            self._send(200, render_html(profile, title=profile_id[:12]), "text/html")
-        elif fmt == "json":
-            entry = store.entry(profile_id)
-            payload = json.loads(render_json(profile))
-            self._json({"id": entry["id"], "meta": entry, "profile": payload})
-        else:
-            raise ServeError(f"unknown format {fmt!r}; use json or html")
+        return {"id": entry["id"], "meta": entry, "profile": json.loads(render_json(profile))}
+    raise ServeError(f"unknown format {fmt!r}; use json or html")

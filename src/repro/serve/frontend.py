@@ -1,17 +1,16 @@
-"""Async batching front-end: one gateway socket in front of the shards.
+"""The gateway: one HTTP endpoint in front of the shard plane.
 
-:class:`ServeFrontend` is a **selectors-based** non-blocking HTTP server
-(one event-loop thread, zero threads per connection) that presents the
-whole shard plane as a single endpoint:
+:class:`ServeFrontend` serves the shards' API over the whole plane, on
+the same :mod:`~repro.serve.httpapi` server the shards use:
 
 * **Batched submission** — ``POST /jobs`` is answered *immediately*
-  (202, a gateway id ``gw-…``) from the event loop with no shard I/O on
-  the submit path; a dispatcher thread drains the pending buffer every
-  ``batch_window_s`` (or at ``batch_max``), routes each job's
-  ``(workload, config_hash)`` key through the consistent-hash router,
-  and flushes per-shard batches concurrently. This is what lets the
-  gateway accept tens of thousands of queued jobs while the shards chew
-  through them at worker speed.
+  (202, a gateway id ``gw-…``) with no shard I/O on the submit path; a
+  dispatcher thread drains the pending buffer every ``batch_window_s``
+  (or at ``batch_max``), routes each job's ``(workload, config_hash)``
+  key through the consistent-hash router, and flushes per-shard
+  batches concurrently. This is what lets the gateway accept tens of
+  thousands of queued jobs while the shards chew through them at
+  worker speed.
 * **Durable acceptance** — every accepted job lives in the gateway
   ledger until a shard reports it terminal. With a
   :class:`~repro.serve.wal.WriteAheadLog` attached, the ledger survives
@@ -29,60 +28,45 @@ whole shard plane as a single endpoint:
   bounded; an optional client ``submit_key`` dedupes resubmissions
   after a lost response.
 * **Fan-out reads** — ``GET /profiles`` fans out to every live shard
-  and streams the merged listing back with chunked transfer-encoding,
-  deduplicating replica copies by content id as chunks arrive.
-  ``GET /trend`` / ``GET /sketch`` are *routed* (single shard: the
-  key's primary, or its replica with ``degraded=true`` marked in the
-  response) — routing, not fan-out, is what keeps replicated profiles
-  from double-counting in aggregates.
-
-The event loop never blocks on shard I/O: submissions are ledger writes,
-and read endpoints run on a small worker pool that hands finished
-response bytes back to the loop through a self-pipe.
+  and answers with the merged listing, deduplicating replica copies by
+  content id. ``GET /trend`` / ``GET /sketch`` are *routed* (single
+  shard: the key's primary, or its replica with ``degraded=true``
+  marked in the response) — routing, not fan-out, is what keeps
+  replicated profiles from double-counting in aggregates. A read the
+  shards fail answers 502.
 """
 
 from __future__ import annotations
 
-import json
-import selectors
-import socket
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ServeError, StoreError
 from repro.serve.client import ServeClient
 from repro.serve.healing import RetryPolicy
-from repro.serve.jobs import new_job
+from repro.serve.httpapi import (
+    HttpError,
+    JsonServer,
+    Request,
+    Routes,
+    json_object,
+    page_params,
+    paginate,
+)
+from repro.serve.jobs import TERMINAL, find_submitted, new_job, pop_submit_key
 from repro.serve.router import ShardRouter, shard_key
 from repro.serve.wal import WriteAheadLog
 
-#: Gateway job states. ``accepted`` → ``dispatched`` → ``done``/``error``;
-#: a re-dispatch after shard death moves a job back to ``accepted``.
-GATEWAY_TERMINAL = ("done", "error")
-
-_MAX_HEADER_BYTES = 64 * 1024
-_MAX_BODY_BYTES = 64 * 1024 * 1024
-
-
-class _Connection:
-    """Per-socket state owned by the event loop."""
-
-    __slots__ = ("sock", "inbuf", "outbuf", "close_after_write", "body_target")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.inbuf = b""
-        self.outbuf = b""
-        self.close_after_write = False
-        self.body_target = -1  # header end + Content-Length once known
+#: Threads flushing dispatch batches, one shard per thread at a time.
+_FLUSH_WORKERS = 8
 
 
 class ServeFrontend:
-    """Selectors-based HTTP gateway over a :class:`ShardRouter`."""
+    """HTTP gateway over a :class:`ShardRouter`."""
 
     def __init__(
         self,
@@ -93,7 +77,6 @@ class ServeFrontend:
         batch_window_s: float = 0.05,
         batch_max: int = 64,
         poll_interval_s: float = 0.25,
-        io_workers: int = 8,
         shard_timeout_s: float = 30.0,
         wal: Union[WriteAheadLog, str, Path, None] = None,
         plane=None,
@@ -118,16 +101,8 @@ class ServeFrontend:
         self.terminal_retention_s = terminal_retention_s
         self.terminal_retention_max = terminal_retention_max
         self.wal_compact_every = wal_compact_every
-        self._listen = socket.create_server((host, port), backlog=512)
-        self._listen.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        #: (connection, bytes, close_after) finished off-loop, drained by
-        #: the event loop after a self-pipe wake-up.
-        self._ready: List[Tuple[_Connection, bytes, bool]] = []
-        self._ready_lock = threading.Lock()
-        self._io = ThreadPoolExecutor(max_workers=io_workers)
+        self._server = JsonServer((host, port), _routes(self))
+        self._io = ThreadPoolExecutor(max_workers=_FLUSH_WORKERS)
         #: Next gw sequence number (a plain int so checkpoints can carry
         #: it — ids must never recycle across restarts).
         self._gw_next = 1
@@ -140,7 +115,9 @@ class ServeFrontend:
         #: ledger readers: status polls, /health, and the dispatcher
         #: only ever take ``_lock``, which accepts hold just briefly.
         self._wal_gate = threading.Lock()
-        #: gw id -> ledger record (see POST /jobs).
+        #: gw id -> ledger record (see :meth:`_accept_job`). Status goes
+        #: ``accepted`` → ``dispatched`` → ``done``/``error``; a
+        #: re-dispatch after shard death moves a job back to ``accepted``.
         self.ledger: Dict[str, Dict] = {}
         #: submit_key -> gw id (client idempotency keys).
         self._submit_keys: Dict[str, str] = {}
@@ -171,11 +148,11 @@ class ServeFrontend:
 
     @property
     def host(self) -> str:
-        return self._listen.getsockname()[0]
+        return self._server.server_address[0]
 
     @property
     def port(self) -> int:
-        return self._listen.getsockname()[1]
+        return self._server.server_address[1]
 
     @property
     def url(self) -> str:
@@ -187,10 +164,7 @@ class ServeFrontend:
         self._started = True
         if self.wal is not None:
             self._recover()
-        self._selector.register(self._listen, selectors.EVENT_READ, "accept")
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._threads = [
-            threading.Thread(target=self._loop, name="repro-gateway-loop", daemon=True),
             threading.Thread(
                 target=self._dispatch_loop, name="repro-gateway-dispatch", daemon=True
             ),
@@ -200,30 +174,15 @@ class ServeFrontend:
         ]
         for thread in self._threads:
             thread.start()
+        self._threads.append(self._server.start("repro-gateway-http"))
 
     def stop(self) -> None:
-        if not self._started:
-            return
-        self._stop_event.set()
-        self._batch_event.set()
-        try:
-            self._wake_w.send(b"x")
-        except OSError:
-            pass
-        for thread in self._threads:
-            thread.join(timeout=5)
-        self._io.shutdown(wait=False, cancel_futures=True)
-        for key in list(self._selector.get_map().values()):
-            if isinstance(key.data, _Connection):
-                try:
-                    key.data.sock.close()
-                except OSError:
-                    pass
-        self._selector.close()
-        self._listen.close()
-        self._wake_r.close()
-        self._wake_w.close()
-        if self.wal is not None:
+        """Stop serving; release the socket, the flush pool and the WAL.
+
+        A gateway that never started holds the same resources; its WAL
+        is closed without a checkpoint.
+        """
+        if self._halt() and self.wal is not None:
             # Clean shutdown: fold the whole ledger into the checkpoint
             # so the next boot replays a snapshot, not a long log. Under
             # the accept gate for the same reason as _maintain_ledger —
@@ -234,8 +193,8 @@ class ServeFrontend:
                     self.wal.checkpoint(self._snapshot())
             except StoreError:
                 pass
+        if self.wal is not None:
             self.wal.close()
-        self._started = False
         stuck = [t.name for t in self._threads if t.is_alive()]
         if stuck:
             raise ServeError(f"gateway threads failed to stop: {stuck}")
@@ -251,36 +210,20 @@ class ServeFrontend:
         ``ServeFrontend`` over the same WAL directory recovers every
         accepted job.
         """
-        if not self._started:
-            return
+        self._halt()
+        if self.wal is not None:
+            self.wal.abandon()
+
+    def _halt(self) -> bool:
+        """Close the server and join the threads; True if it was running."""
+        started, self._started = self._started, False
         self._stop_event.set()
         self._batch_event.set()
-        try:
-            self._wake_w.send(b"x")
-        except OSError:
-            pass
-        try:
-            self._listen.close()
-        except OSError:
-            pass
+        self._server.close()
         for thread in self._threads:
             thread.join(timeout=5)
         self._io.shutdown(wait=False, cancel_futures=True)
-        for key in list(self._selector.get_map().values()):
-            if isinstance(key.data, _Connection):
-                try:
-                    key.data.sock.close()
-                except OSError:
-                    pass
-        self._selector.close()
-        for sock in (self._wake_r, self._wake_w):
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if self.wal is not None:
-            self.wal.abandon()
-        self._started = False
+        return started
 
     # -- durable ledger (WAL) -------------------------------------------
 
@@ -321,7 +264,7 @@ class ServeFrontend:
         requeued = 0
         for gw_id in sorted(ledger):
             record = ledger[gw_id]
-            if record.get("status") not in GATEWAY_TERMINAL:
+            if record.get("status") not in TERMINAL:
                 if record.get("status") != "accepted":
                     requeued += 1
                 record["status"] = "accepted"
@@ -347,12 +290,12 @@ class ServeFrontend:
             return
         record = ledger.get(op.get("id", ""))
         if kind == "dispatch":
-            if record is not None and record.get("status") not in GATEWAY_TERMINAL:
+            if record is not None and record.get("status") not in TERMINAL:
                 record["status"] = "dispatched"
                 record["shard"] = op.get("shard")
                 record["shard_job_id"] = op.get("shard_job_id")
         elif kind == "terminal":
-            if record is not None and op.get("status") in GATEWAY_TERMINAL:
+            if record is not None and op.get("status") in TERMINAL:
                 record["status"] = op["status"]
                 record["profile_id"] = op.get("profile_id")
                 record["error"] = op.get("error")
@@ -361,7 +304,7 @@ class ServeFrontend:
         elif kind == "requeue":
             for gw_id in op.get("ids", ()):
                 queued = ledger.get(gw_id)
-                if queued is not None and queued.get("status") not in GATEWAY_TERMINAL:
+                if queued is not None and queued.get("status") not in TERMINAL:
                     queued["status"] = "accepted"
                     queued["shard"] = None
                     queued["shard_job_id"] = None
@@ -409,7 +352,7 @@ class ServeFrontend:
             terminal = [
                 record
                 for record in self.ledger.values()
-                if record["status"] in GATEWAY_TERMINAL
+                if record["status"] in TERMINAL
             ]
             expired_ids = {
                 record["id"]
@@ -445,300 +388,27 @@ class ServeFrontend:
                 with self._lock:
                     self.stats["wal_append_failures"] += 1
 
-    # -- event loop -----------------------------------------------------
-
-    def _loop(self) -> None:
-        while not self._stop_event.is_set():
-            events = self._selector.select(timeout=0.2)
-            for key, mask in events:
-                if key.data == "accept":
-                    self._accept()
-                elif key.data == "wake":
-                    try:
-                        self._wake_r.recv(4096)
-                    except OSError:
-                        pass
-                    self._drain_ready()
-                else:
-                    conn: _Connection = key.data
-                    if mask & selectors.EVENT_READ:
-                        self._readable(conn)
-                    if mask & selectors.EVENT_WRITE:
-                        self._writable(conn)
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listen.accept()
-            except BlockingIOError:
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(sock)
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-
-    def _close(self, conn: _Connection) -> None:
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-
-    def _interest(self, conn: _Connection) -> None:
-        """Re-arm the selector mask from the connection's buffer state."""
-        mask = selectors.EVENT_READ
-        if conn.outbuf:
-            mask |= selectors.EVENT_WRITE
-        try:
-            self._selector.modify(conn.sock, mask, conn)
-        except (KeyError, ValueError):
-            pass
-
-    def _readable(self, conn: _Connection) -> None:
-        try:
-            data = conn.sock.recv(65536)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close(conn)
-            return
-        if not data:
-            self._close(conn)
-            return
-        conn.inbuf += data
-        while self._try_request(conn):
-            pass
-
-    def _writable(self, conn: _Connection) -> None:
-        if not conn.outbuf:
-            self._interest(conn)
-            return
-        try:
-            sent = conn.sock.send(conn.outbuf)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close(conn)
-            return
-        conn.outbuf = conn.outbuf[sent:]
-        if not conn.outbuf and conn.close_after_write:
-            self._close(conn)
-            return
-        self._interest(conn)
-
-    def _try_request(self, conn: _Connection) -> bool:
-        """Parse and handle one complete pipelined request, if buffered."""
-        if conn.body_target < 0:
-            head_end = conn.inbuf.find(b"\r\n\r\n")
-            if head_end < 0:
-                if len(conn.inbuf) > _MAX_HEADER_BYTES:
-                    self._respond(conn, 431, {"error": "headers too large"}, close=True)
-                    conn.inbuf = b""
-                return False
-            header_blob = conn.inbuf[:head_end].decode("latin-1")
-            length = 0
-            for line in header_blob.split("\r\n")[1:]:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError:
-                        length = 0
-            if length > _MAX_BODY_BYTES:
-                self._respond(conn, 413, {"error": "body too large"}, close=True)
-                conn.inbuf = b""
-                return False
-            conn.body_target = head_end + 4 + length
-        if len(conn.inbuf) < conn.body_target:
-            return False
-        raw, conn.inbuf = conn.inbuf[: conn.body_target], conn.inbuf[conn.body_target:]
-        conn.body_target = -1
-        head, _, body = raw.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, version = lines[0].split(" ", 2)
-        except ValueError:
-            self._respond(conn, 400, {"error": "malformed request line"}, close=True)
-            return False
-        keep_alive = not version.endswith("1.0")
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "connection":
-                keep_alive = value.strip().lower() != "close"
-        self._dispatch_request(conn, method, target, body, keep_alive)
-        return bool(conn.inbuf)
-
-    # -- request handling -----------------------------------------------
-
-    def _dispatch_request(
-        self,
-        conn: _Connection,
-        method: str,
-        target: str,
-        body: bytes,
-        keep_alive: bool,
-    ) -> None:
-        url = urlparse(target)
-        parts = [p for p in url.path.split("/") if p]
-        query = {k: v[0] for k, v in parse_qs(url.query).items()}
-        close = not keep_alive
-        # Submission is answered inline — a ledger append, no I/O — so
-        # accept latency is independent of shard health and queue depth.
-        if method == "POST" and parts == ["jobs"]:
-            try:
-                record = self._accept_job(body)
-            except (ServeError, ValueError) as exc:
-                self._respond(conn, 400, {"error": str(exc)}, close=close)
-                return
-            self._respond(conn, 202, {"job": record}, close=close)
-            return
-        if method == "GET" and parts == ["health"]:
-            self._respond(conn, 200, self._health(), close=close)
-            return
-        if method == "GET" and len(parts) == 2 and parts[0] == "jobs":
-            with self._lock:
-                record = self.ledger.get(parts[1])
-            if record is None:
-                self._respond(conn, 404, {"error": f"unknown gateway job {parts[1]!r}"}, close=close)
-            else:
-                self._respond(conn, 200, {"job": dict(record)}, close=close)
-            return
-        if method == "GET" and parts == ["jobs"]:
-            self._respond(conn, 200, self._jobs_listing(query), close=close)
-            return
-        if method == "GET" and parts == ["shards"]:
-            self._respond(conn, 200, self.router.describe(), close=close)
-            return
-        if method == "POST" and parts == ["reshard"]:
-            try:
-                spec = json.loads(body.decode("utf-8")) if body else {}
-                if not isinstance(spec, dict):
-                    raise ServeError("reshard body must be a JSON object")
-                status = self._start_reshard(spec)
-            except ValueError:
-                self._respond(conn, 400, {"error": "malformed JSON body"}, close=close)
-                return
-            except ServeError as exc:
-                code = 409 if "in progress" in str(exc) else 400
-                self._respond(conn, code, {"error": str(exc)}, close=close)
-                return
-            self._respond(conn, 202, status, close=close)
-            return
-        if method == "GET" and parts == ["reshard"]:
-            self._respond(conn, 200, self.reshard_status(), close=close)
-            return
-        # Everything else talks to shards: off-loop on the worker pool.
-        self._io.submit(self._handle_offloop, conn, method, parts, query, close)
-
-    def _handle_offloop(
-        self,
-        conn: _Connection,
-        method: str,
-        parts: List[str],
-        query: Dict,
-        close: bool,
-    ) -> None:
-        try:
-            if method == "GET" and parts == ["profiles"]:
-                self._stream_profiles(conn, query, close)
-                return
-            if method == "GET" and parts in (["trend"], ["sketch"]):
-                payload, status = self._routed_read(parts[0], query)
-            elif method == "GET" and len(parts) == 2 and parts[0] == "profiles":
-                payload, status = self._fetch_profile(parts[1], query)
-            else:
-                payload, status = (
-                    {"error": f"unknown endpoint {method} /{'/'.join(parts)}"},
-                    404,
-                )
-        except ServeError as exc:
-            payload, status = {"error": str(exc)}, 502
-        except Exception as exc:  # noqa: BLE001 — gateway must answer
-            payload, status = {"error": f"{type(exc).__name__}: {exc}"}, 500
-        self._finish_offloop(conn, self._render(status, payload), close)
-
-    def _finish_offloop(self, conn: _Connection, data: bytes, close: bool) -> None:
-        with self._ready_lock:
-            self._ready.append((conn, data, close))
-        try:
-            self._wake_w.send(b"x")
-        except OSError:
-            pass
-
-    def _drain_ready(self) -> None:
-        with self._ready_lock:
-            ready, self._ready = self._ready, []
-        for conn, data, close in ready:
-            conn.outbuf += data
-            conn.close_after_write = conn.close_after_write or (
-                close and not conn.inbuf
-            )
-            self._writable(conn)
-
-    # -- responses ------------------------------------------------------
-
-    @staticmethod
-    def _render(status: int, payload: Dict) -> bytes:
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Status"
-        )
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        return head + body
-
-    def _respond(
-        self, conn: _Connection, status: int, payload: Dict, *, close: bool = False
-    ) -> None:
-        conn.outbuf += self._render(status, payload)
-        conn.close_after_write = conn.close_after_write or close
-        self._writable(conn)
-
     # -- gateway job ledger ---------------------------------------------
 
-    def _dedupe_locked(self, submit_key: str) -> Optional[Dict]:
+    def _dedupe_locked(self, submit_key: Optional[str]) -> Optional[Dict]:
         """The prior record for ``submit_key``, or ``None`` if unseen.
 
         Caller holds ``self._lock``.
         """
-        existing = self._submit_keys.get(submit_key)
-        if existing is None or existing not in self.ledger:
+        prior = find_submitted(self._submit_keys, self.ledger, submit_key)
+        if prior is None:
             return None
         self.stats["deduped"] += 1
-        deduped = {
-            k: v for k, v in self.ledger[existing].items() if k != "payload"
-        }
-        deduped["deduped"] = True
-        return deduped
+        return {**_public(prior), "deduped": True}
 
     def _accept_job(self, body: bytes) -> Dict:
-        if not body:
-            raise ServeError("request body must be a JSON object")
-        payload = json.loads(body.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ServeError("request body must be a JSON object")
-        submit_key = None
-        if "submit_key" in payload:
-            # The idempotency key is gateway state, not job state: strip
-            # it before validation/forwarding (shards run the job the
-            # key names, they don't dedupe on it here).
-            payload = dict(payload)
-            submit_key = payload.pop("submit_key")
-            if not isinstance(submit_key, str) or not submit_key:
-                raise ServeError("submit_key must be a non-empty string")
-            with self._lock:
-                deduped = self._dedupe_locked(submit_key)
-                if deduped is not None:
-                    return deduped
+        # The idempotency key is gateway state, not job state: shards
+        # run the job the key names, they don't dedupe on it here.
+        payload, submit_key = pop_submit_key(json_object(body))
+        with self._lock:
+            deduped = self._dedupe_locked(submit_key)
+        if deduped is not None:
+            return deduped
         probe = new_job(payload)  # full validation; the probe id is discarded
         with self._wal_gate:
             # The gate spans dedupe re-check → WAL append → ledger
@@ -748,12 +418,12 @@ class ServeFrontend:
             # under this same gate, so a compaction can never truncate
             # an appended accept before its snapshot sees it.
             with self._lock:
-                if submit_key is not None:
-                    deduped = self._dedupe_locked(submit_key)
-                    if deduped is not None:
-                        return deduped
-                # Accepts run on the io pool — the sequence allocation
-                # must be atomic or two threads mint the same gw id.
+                deduped = self._dedupe_locked(submit_key)
+                if deduped is not None:
+                    return deduped
+                # Accepts run on concurrent request threads — the
+                # sequence allocation must be atomic or two of them
+                # mint the same gw id.
                 gw_id = f"gw-{self._gw_next:08d}"
                 self._gw_next += 1
             record = {
@@ -793,36 +463,25 @@ class ServeFrontend:
                 depth = len(self._pending)
         if depth >= self.batch_max:
             self._batch_event.set()
-        return {k: v for k, v in record.items() if k != "payload"}
+        return _public(record)
 
     def _jobs_listing(self, query: Dict) -> Dict:
+        limit, offset = page_params(query)
         with self._lock:
-            records = [
-                {k: v for k, v in r.items() if k != "payload"}
-                for r in self.ledger.values()
-            ]
-        counts: Dict[str, int] = {}
-        for record in records:
-            counts[record["status"]] = counts.get(record["status"], 0) + 1
-        try:
-            limit = int(query.get("limit", 500))
-            offset = int(query.get("offset", 0))
-        except ValueError:
-            limit, offset = 500, 0
-        page = records[offset:]
-        if limit:
-            page = page[:limit]
-        return {"jobs": page, "counts": counts, "total": len(records)}
+            records = [_public(r) for r in self.ledger.values()]
+        return {
+            "jobs": paginate(records, limit, offset),
+            "counts": dict(Counter(record["status"] for record in records)),
+            "total": len(records),
+        }
 
     def _health(self) -> Dict:
         with self._lock:
-            counts: Dict[str, int] = {}
-            for record in self.ledger.values():
-                counts[record["status"]] = counts.get(record["status"], 0) + 1
+            counts = dict(Counter(record["status"] for record in self.ledger.values()))
             pending = len(self._pending)
             stats = dict(self.stats)
             ledger_size = len(self.ledger)
-        terminal = sum(counts.get(s, 0) for s in GATEWAY_TERMINAL)
+        terminal = sum(counts.get(s, 0) for s in TERMINAL)
         return {
             "status": "ok",
             "role": "gateway",
@@ -865,7 +524,7 @@ class ServeFrontend:
         with self._lock:
             for gw_id in batch:
                 record = self.ledger.get(gw_id)
-                if record is None or record["status"] in GATEWAY_TERMINAL:
+                if record is None or record["status"] in TERMINAL:
                     continue
                 try:
                     shard, _ = self.router.route(
@@ -894,7 +553,7 @@ class ServeFrontend:
                 return  # abandon the flush; the ledger keeps the backlog
             with self._lock:
                 record = self.ledger.get(gw_id)
-                if record is None or record["status"] in GATEWAY_TERMINAL:
+                if record is None or record["status"] in TERMINAL:
                     continue
                 payload = dict(record["payload"])
             try:
@@ -934,7 +593,7 @@ class ServeFrontend:
             for gw_id, record in self.ledger.items():
                 if (
                     record["shard"] == shard
-                    and record["status"] not in GATEWAY_TERMINAL
+                    and record["status"] not in TERMINAL
                 ):
                     requeue.add(gw_id)
             for gw_id in sorted(requeue):
@@ -1003,7 +662,7 @@ class ServeFrontend:
                         self._pending.append(record["id"])
                         self.stats["redispatched"] += 1
                         requeued.append(record["id"])
-                    elif job["status"] in GATEWAY_TERMINAL:
+                    elif job["status"] in TERMINAL:
                         record["status"] = job["status"]
                         record["profile_id"] = job.get("profile_id")
                         record["error"] = job.get("error")
@@ -1058,8 +717,8 @@ class ServeFrontend:
                 "starting",
                 "migrating",
             ):
-                raise ServeError(
-                    f"reshard already in progress ({self._reshard['action']})"
+                raise HttpError(
+                    409, f"reshard already in progress ({self._reshard['action']})"
                 )
             self._reshard = {
                 "action": action,
@@ -1220,7 +879,7 @@ class ServeFrontend:
                     gw_id
                     for gw_id, record in self.ledger.items()
                     if record["shard"] == name
-                    and record["status"] not in GATEWAY_TERMINAL
+                    and record["status"] not in TERMINAL
                 ]
             if not waiting:
                 return
@@ -1230,7 +889,7 @@ class ServeFrontend:
             for gw_id, record in self.ledger.items():
                 if (
                     record["shard"] == name
-                    and record["status"] not in GATEWAY_TERMINAL
+                    and record["status"] not in TERMINAL
                 ):
                     record["status"] = "accepted"
                     record["shard"] = None
@@ -1251,7 +910,7 @@ class ServeFrontend:
             connect_timeout_s=min(5.0, self.shard_timeout_s),
         )
 
-    def _routed_read(self, endpoint: str, query: Dict) -> Tuple[Dict, int]:
+    def _routed_read(self, endpoint: str, query: Dict) -> Dict:
         """Route /trend and /sketch to the key's primary (or replica).
 
         Requires ``workload``: aggregates are sliced per key, and
@@ -1261,80 +920,109 @@ class ServeFrontend:
         workload = query.get("workload")
         if not workload:
             raise ServeError(f"gateway {endpoint} needs ?workload=…")
+        path = f"/{endpoint}?" + "&".join(f"{k}={v}" for k, v in query.items())
         shard, degraded = self.router.route(workload, query.get("config_hash", ""))
         try:
-            payload = self._client(shard)._request(
-                f"/{endpoint}?" + "&".join(f"{k}={v}" for k, v in query.items())
-            )
+            payload = self._client(shard)._request(path)
         except ServeError:
             self._shard_trouble(shard, reason=f"{endpoint} read failed")
             shard, degraded = self.router.route(workload, query.get("config_hash", ""))
-            payload = self._client(shard)._request(
-                f"/{endpoint}?" + "&".join(f"{k}={v}" for k, v in query.items())
-            )
+            payload = self._client(shard)._request(path)
         payload["shard"] = shard
         payload["degraded"] = degraded
-        return payload, 200
+        return payload
 
-    def _fetch_profile(self, profile_id: str, query: Dict) -> Tuple[Dict, int]:
+    def _fetch_profile(self, profile_id: str) -> Dict:
         """Find a stored profile on any live shard (content-addressed)."""
         last: Optional[ServeError] = None
         for shard in self.router.live_shards():
             try:
-                return self._client(shard).profile(profile_id), 200
+                return self._client(shard).profile(profile_id)
             except ServeError as exc:
                 last = exc
-                continue
         raise last if last is not None else ServeError(f"unknown profile {profile_id!r}")
 
-    def _stream_profiles(self, conn: _Connection, query: Dict, close: bool) -> None:
-        """Chunked fan-out listing, deduplicated by content id.
-
-        Each live shard's page is fetched in turn and streamed out as
-        its own chunk, so the first bytes reach the client while later
-        shards are still answering.
-        """
+    def _list_profiles(self, query: Dict) -> Dict:
+        """Fan-out listing over the live shards, deduplicated by content id."""
         qs = "&".join(f"{k}={v}" for k, v in query.items())
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/json\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        self._finish_offloop(conn, head + _chunk(b'{"profiles":['), close=False)
+        profiles: List[Dict] = []
         seen: set = set()
         degraded = bool(self.router.down_shards())
-        first = True
         for shard in self.router.live_shards():
             try:
-                page = self._client(shard)._request(
-                    f"/profiles{'?' + qs if qs else ''}"
-                )
+                page = self._client(shard)._request(f"/profiles{'?' + qs if qs else ''}")
             except ServeError:
                 self._shard_trouble(shard, reason="profiles fan-out failed")
                 degraded = True
                 continue
-            fresh = [e for e in page["profiles"] if e["id"] not in seen]
-            seen.update(e["id"] for e in fresh)
-            if fresh:
-                blob = ",".join(json.dumps(e) for e in fresh)
-                if not first:
-                    blob = "," + blob
-                first = False
-                self._finish_offloop(conn, _chunk(blob.encode("utf-8")), close=False)
-        tail = json.dumps(
-            {"total": len(seen), "degraded": degraded, "shards": self.router.live_shards()}
-        )[1:-1]
-        self._finish_offloop(
-            conn,
-            _chunk(("]," + tail + "}").encode("utf-8")) + _chunk(b""),
-            close,
-        )
+            for entry in page["profiles"]:
+                if entry["id"] not in seen:
+                    seen.add(entry["id"])
+                    profiles.append(entry)
+        return {
+            "profiles": profiles,
+            "total": len(seen),
+            "degraded": degraded,
+            "shards": self.router.live_shards(),
+        }
 
 
-def _chunk(data: bytes) -> bytes:
-    """One HTTP/1.1 chunked-transfer frame (empty data = terminator)."""
-    return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
+def _routes(gateway: ServeFrontend) -> Routes:
+    """The gateway's HTTP API: the shards' surface over the whole plane."""
+
+    def job(request: Request) -> Dict:
+        with gateway._lock:
+            record = gateway.ledger.get(request.parts[1])
+        if record is None:
+            raise HttpError(404, f"unknown gateway job {request.parts[1]!r}")
+        return {"job": dict(record)}
+
+    return {
+        # Submission is a ledger append with no shard I/O, so accept
+        # latency is independent of shard health and queue depth.
+        ("POST", "jobs"): lambda request: (
+            202,
+            {"job": gateway._accept_job(request.body)},
+        ),
+        ("GET", "health"): lambda request: gateway._health(),
+        ("GET", "jobs"): lambda request: gateway._jobs_listing(request.query),
+        ("GET", "jobs", "*"): job,
+        ("GET", "shards"): lambda request: gateway.router.describe(),
+        ("POST", "reshard"): lambda request: (
+            202,
+            gateway._start_reshard(request.json()),
+        ),
+        ("GET", "reshard"): lambda request: gateway.reshard_status(),
+        ("GET", "profiles"): _shard_read(
+            lambda request: gateway._list_profiles(request.query)
+        ),
+        ("GET", "profiles", "*"): _shard_read(
+            lambda request: gateway._fetch_profile(request.parts[1])
+        ),
+        ("GET", "trend"): _shard_read(
+            lambda request: gateway._routed_read("trend", request.query)
+        ),
+        ("GET", "sketch"): _shard_read(
+            lambda request: gateway._routed_read("sketch", request.query)
+        ),
+    }
+
+
+def _shard_read(read):
+    """A read the shards answer: a failure among them is a 502."""
+
+    def handler(request: Request) -> Dict:
+        try:
+            return read(request)
+        except ServeError as exc:
+            raise HttpError(502, str(exc)) from None
+
+    return handler
+
+
+def _public(record: Dict) -> Dict:
+    """A ledger record as clients see it: without the job payload."""
+    return {k: v for k, v in record.items() if k != "payload"}
 
 
 def _probe_config_hash(probe) -> str:

@@ -20,13 +20,15 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import ScaleneConfig
 from repro.core.profile_data import FunctionReport, LineReport, ProfileData
 from repro.errors import ServeError
 
-JOB_STATUSES = ("queued", "running", "done", "error")
+#: Job states that never change again, on a shard and on the gateway.
+TERMINAL = ("done", "error")
+JOB_STATUSES = ("queued", "running") + TERMINAL
 
 _job_counter = itertools.count(1)
 _job_counter_lock = threading.Lock()
@@ -74,6 +76,38 @@ class Job:
             "faults": self.faults,
             "attempt": self.attempts,
         }
+
+
+def pop_submit_key(payload: Dict) -> Tuple[Dict, Optional[str]]:
+    """Split a submission into its job payload and its ``submit_key``.
+
+    The key is the client's idempotency key: service state that never
+    reaches :func:`new_job` or a worker.
+    """
+    if not isinstance(payload, dict) or "submit_key" not in payload:
+        return payload, None
+    payload = dict(payload)
+    submit_key = payload.pop("submit_key")
+    if not isinstance(submit_key, str) or not submit_key:
+        raise ServeError("submit_key must be a non-empty string")
+    return payload, submit_key
+
+
+def find_submitted(submit_keys: Dict[str, str], records: Dict, submit_key):
+    """The record ``submit_key`` named before, or ``None`` if it is new.
+
+    The caller holds the lock guarding both maps, and asks again under
+    it right before inserting: two racing submissions with one key must
+    not both miss. A key whose record is gone is dropped as new; no key
+    (``None``) is always new.
+    """
+    record_id = submit_keys.get(submit_key)
+    if record_id is None:
+        return None
+    record = records.get(record_id)
+    if record is None:
+        del submit_keys[submit_key]
+    return record
 
 
 def new_job(payload: Dict) -> Job:

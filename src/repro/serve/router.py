@@ -115,7 +115,7 @@ class HashRing:
 class ShardRouter:
     """Placement + failover policy over a :class:`HashRing`.
 
-    Thread-safe: the front-end's event loop, its dispatcher, and its
+    Thread-safe: the gateway's request threads, its dispatcher, and its
     health poller all consult one router instance.
     """
 

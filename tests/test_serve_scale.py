@@ -4,7 +4,8 @@ Covers the pieces the chaos and property suites exercise only end to
 end: the consistent-hash router's placement and failover policy, the
 ServeClient's bounded retry-with-backoff (idempotent requests retry,
 job submission never does), server-side pagination of ``/profiles`` and
-``/trend``, and the batching gateway's routed reads.
+``/trend``, the batching gateway's routed reads, and the error statuses
+the daemon and the gateway share.
 
 The router and retry tests are pure/socket-level and fast; the daemon
 and gateway fixtures are module-scoped so the process boots happen
@@ -12,10 +13,12 @@ once.
 """
 
 import copy
+import http.client
 import json
 import socket
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
 
@@ -405,3 +408,65 @@ def test_gateway_rejects_malformed_submissions(gateway_plane):
         client._request("/jobs", body={"scale": 0.01})  # no workload
     with pytest.raises(ServeError):
         client._request("/no-such-endpoint")
+
+
+def test_bad_submission_leaves_the_gateway_serving(gateway_plane):
+    # Validation errors from the workload registry and the fault plane
+    # are answered like any other bad request; the gateway keeps going.
+    _, client = gateway_plane
+    with pytest.raises(ServeError, match="unknown workload"):
+        client._request("/jobs", body={"workload": "no-such-workload"})
+    with pytest.raises(ServeError, match="bogus"):
+        client._request("/jobs", body={"workload": "pprint", "faults": {"bogus": 1}})
+    assert client.health()["status"] == "ok"
+
+
+# -- one HTTP stack for both roles --------------------------------------
+
+
+def _send(url, method, path, body=b"", length=None):
+    """One request on a fresh connection: ``(status, parsed JSON body)``."""
+    parsed = urlparse(url)
+    conn = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
+    try:
+        conn.putrequest(method, path)
+        conn.putheader("Content-Length", str(len(body) if length is None else length))
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("role", ["daemon", "gateway"])
+def test_both_roles_answer_errors_alike(request, role):
+    if role == "daemon":
+        url, paged = request.getfixturevalue("paged_client").url, "/profiles"
+    else:
+        url, paged = request.getfixturevalue("gateway_plane")[1].url, "/jobs"
+    table = [
+        ("GET", "/no-such-endpoint", b"", None, 404),
+        ("POST", "/jobs", b"{not json", None, 400),
+        ("POST", "/jobs", b"[1, 2]", None, 400),
+        ("POST", "/jobs", b"", 70_000_000, 413),  # refused before any body
+        ("GET", f"{paged}?limit=x", b"", None, 400),
+    ]
+    for method, path, body, length, expected in table:
+        status, payload = _send(url, method, path, body, length)
+        assert status == expected, (method, path, payload)
+        assert "error" in payload, (method, path, payload)
+
+
+def test_gateway_answers_shard_failure_502_and_busy_reshard_409():
+    router = ShardRouter({"s0": "http://127.0.0.1:9"})  # nothing listens there
+    gateway = ServeFrontend(router, shard_timeout_s=2.0)
+    gateway.plane = object()  # resharding needs a plane; the 409 comes first
+    gateway._reshard = {"action": "add", "state": "migrating"}
+    gateway.start()
+    try:
+        status, payload = _send(gateway.url, "GET", "/trend?workload=pprint")
+        assert status == 502 and "error" in payload
+        status, payload = _send(gateway.url, "POST", "/reshard", b'{"action": "add"}')
+        assert status == 409 and "in progress" in payload["error"]
+    finally:
+        gateway.stop()

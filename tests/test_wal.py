@@ -152,14 +152,7 @@ def frontend_factory(tmp_path):
 
     yield make
     for frontend in built:
-        if not frontend._started:
-            frontend._listen.close()
-            frontend._selector.close()
-            frontend._wake_r.close()
-            frontend._wake_w.close()
-            frontend._io.shutdown(wait=False, cancel_futures=True)
-            if frontend.wal is not None:
-                frontend.wal.close()
+        frontend.stop()
 
 
 def _accept_op(gw_id, *, status="accepted", submit_key=None):
