@@ -92,12 +92,7 @@ def bench_submission(
     with tempfile.TemporaryDirectory() as tmp:
         plane = ShardPlane(Path(tmp) / "plane", shards=shards, workers=1)
         router = plane.start()
-        gateway = ServeFrontend(
-            router,
-            batch_window_s=0.05,
-            batch_max=128,
-            wal=(Path(tmp) / "wal") if wal else None,
-        )
+        gateway = ServeFrontend(router, wal=(Path(tmp) / "wal") if wal else None)
         gateway.start()
         try:
             report = run_load(

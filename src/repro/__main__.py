@@ -24,7 +24,7 @@ or run the continuous-profiling service (:mod:`repro.serve`)::
 
 With ``--shards N`` the serve command boots the scale-out plane
 (DESIGN.md §12): N sharded daemons behind a consistent-hash router and
-one async batching gateway; ``loadgen`` measures its submission
+one gateway; ``loadgen`` measures its submission
 throughput and accept-latency percentiles.
 
 or chaos-test the service's self-healing (:mod:`repro.faults`) — a
@@ -124,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default="./profile-store",
                        help="profile store directory")
     serve.add_argument("--shards", type=int, default=0,
-                       help="boot N sharded daemons behind a batching "
-                       "gateway instead of one daemon (0 = single daemon)")
+                       help="boot N sharded daemons behind a gateway "
+                       "instead of one daemon (0 = single daemon)")
     serve.add_argument("--wal", default=None,
                        help="gateway write-ahead-log directory (sharded mode "
                        "only; default: <store>/gateway-wal; 'none' disables "
@@ -387,7 +387,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_serve_shards(args) -> int:
-    """The scale-out plane: N shard daemons + router + batching gateway."""
+    """The scale-out plane: N shard daemons + router + gateway."""
     import os
     import time
     from pathlib import Path
@@ -409,8 +409,11 @@ def _cmd_serve_shards(args) -> int:
     for name, url in sorted(plane.urls().items()):
         print(f"  {name}: {url}", flush=True)
     try:
+        # Short sleeps, as in ProfileDaemon.serve_forever: a Ctrl-C that
+        # the kernel hands to another thread does not cut the main
+        # thread's sleep short; the handler runs when the sleep ends.
         while True:
-            time.sleep(3600)
+            time.sleep(0.2)
     except KeyboardInterrupt:
         pass
     finally:

@@ -412,7 +412,7 @@ def run_shard_chaos(
     report = ShardChaosReport(seed=seed, shards=shards)
     plane = ShardPlane(root, shards=shards, workers=workers)
     router = plane.start()
-    gateway = ServeFrontend(router, batch_window_s=0.02, poll_interval_s=0.1)
+    gateway = ServeFrontend(router, poll_interval_s=0.1)
     gateway.start()
     try:
         client = ServeClient(gateway.url)
@@ -633,10 +633,7 @@ def run_gateway_chaos(
     wal_dir = str(Path(root) / "gateway-wal")
     plane = ShardPlane(root, shards=shards, workers=workers)
     router = plane.start()
-    gateway = ServeFrontend(
-        router, batch_window_s=0.02, poll_interval_s=0.1,
-        wal=wal_dir, plane=plane,
-    )
+    gateway = ServeFrontend(router, poll_interval_s=0.1, wal=wal_dir, plane=plane)
     gateway.start()
     live_gateway = gateway
     try:
@@ -675,8 +672,7 @@ def run_gateway_chaos(
 
         # A fresh gateway over the same WAL must recover every record.
         gateway2 = ServeFrontend(
-            router, batch_window_s=0.02, poll_interval_s=0.1,
-            wal=wal_dir, plane=plane,
+            router, poll_interval_s=0.1, wal=wal_dir, plane=plane
         )
         gateway2.start()
         live_gateway = gateway2
@@ -818,8 +814,7 @@ def run_reshard_chaos(
     plane = ShardPlane(root, shards=shards, workers=workers)
     router = plane.start()
     gateway = ServeFrontend(
-        router, batch_window_s=0.02, poll_interval_s=0.1,
-        wal=str(Path(root) / "gateway-wal"), plane=plane,
+        router, poll_interval_s=0.1, wal=str(Path(root) / "gateway-wal"), plane=plane
     )
     gateway.start()
     try:

@@ -32,9 +32,10 @@ The scale-out plane (``python -m repro serve --shards N``, DESIGN.md
   read-replica failover;
 * :mod:`repro.serve.shard` — boots the shard daemons and wires
   synchronous idempotent replication between them;
-* :mod:`repro.serve.frontend` — the gateway: batched job submission,
-  a durable acceptance ledger with re-dispatch on shard death, and
-  routed or fanned-out reads;
+* :mod:`repro.serve.frontend` — the gateway: dispatch on accept,
+  completions pushed over each shard's change cursor, a durable
+  acceptance ledger with re-dispatch on shard death, and routed or
+  fanned-out reads;
 * :mod:`repro.serve.loadgen` — the submission load generator behind
   ``python -m repro loadgen`` and ``benchmarks/bench_serve_scale.py``.
 

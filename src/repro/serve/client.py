@@ -179,6 +179,14 @@ class ServeClient:
     def jobs(self) -> List[Dict]:
         return self._request("/jobs")["jobs"]
 
+    def jobs_since(self, since: int, boot: str, wait: float) -> Dict:
+        """A shard's change cursor: ``{"boot", "seq", "full", "jobs"}``.
+
+        Long-polls up to ``wait`` seconds for jobs finished after change
+        ``since`` of boot ``boot``; see :meth:`ProfileDaemon.changes`.
+        """
+        return self._request(f"/jobs?since={since}&boot={boot}&wait={wait}")
+
     def wait(self, job_id: str, *, timeout: float = 120.0, poll: float = 0.1) -> Dict:
         """Poll until the job finishes; raises on job error or timeout."""
         deadline = time.monotonic() + timeout

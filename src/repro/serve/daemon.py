@@ -55,6 +55,12 @@ Endpoints::
     POST /jobs                    submit {workload, profiler?, mode?, scale?,
                                           config?, faults?, timeout_s?}
     GET  /jobs                    all jobs
+    GET  /jobs?since=<seq>&boot=<id>&wait=<s>
+                                  change cursor: the jobs finished after
+                                  change <seq>, answered as soon as one
+                                  exists (long-poll); the whole table
+                                  ("full") for another boot or a cursor
+                                  behind the retained change log
     GET  /jobs/<id>               one job (status, profile_id when done)
     GET  /profiles                store index (?workload=&profiler=&...)
     GET  /profiles/<id>           stored profile (?format=html for the web UI)
@@ -82,11 +88,14 @@ stale sketch file is rebuilt from the store at boot.
 
 from __future__ import annotations
 
+import itertools
 import json
 import queue
 import signal as signal_module
 import threading
 import time
+import uuid
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Union
@@ -100,6 +109,8 @@ from repro.serve.httpapi import JsonServer, Request, Routes, page_params, pagina
 from repro.serve.jobs import (
     JOB_STATUSES,
     TERMINAL,
+    TERMINAL_RETENTION_MAX,
+    TERMINAL_RETENTION_S,
     Job,
     execute_job,
     find_submitted,
@@ -115,6 +126,9 @@ _SHUTDOWN = object()
 
 #: How often the monitor thread checks deadlines and due retries.
 _MONITOR_TICK_S = 0.02
+
+#: The longest a ``GET /jobs?since=`` long-poll is held open.
+_LONG_POLL_MAX_S = 30.0
 
 
 class ProfileDaemon:
@@ -160,6 +174,16 @@ class ProfileDaemon:
         self._submit_keys: Dict[str, str] = {}
         self.submit_key_retention_max = max(1, int(submit_key_retention_max))
         self._lock = threading.RLock()
+        #: The change cursor. Every finish takes the next ``_seq`` and
+        #: appends ``(seq, job id)`` to ``_changes``, which so lists the
+        #: table's terminal jobs oldest first; entries at or below
+        #: ``_changes_floor`` left with their evicted jobs. A cursor is
+        #: only meaningful within one ``boot_id``.
+        self.boot_id = uuid.uuid4().hex
+        self._seq = 0
+        self._changes: "deque" = deque()
+        self._changes_floor = 0
+        self._changed = threading.Condition(self._lock)
         self._queue: "queue.Queue" = queue.Queue()
         self._pool: Optional[ProcessPoolExecutor] = None
         #: job id -> the Future currently running it. Identity of the
@@ -228,6 +252,7 @@ class ProfileDaemon:
             if not self._started or self._stopping:
                 return
             self._stopping = True
+            self._changed.notify_all()  # long-polls answer now
         self._stop_event.set()
         self._server.close()
         self._queue.put(_SHUTDOWN)
@@ -236,10 +261,11 @@ class ProfileDaemon:
                 future.cancel()  # running futures finish; queued ones die
             for job_id in list(self._retry_at):
                 del self._retry_at[job_id]
-                job = self._jobs[job_id]
-                job.status = "error"
-                job.error = "daemon stopped before the retry ran"
-                job.finished_at = time.time()
+                self._finish_locked(
+                    self._jobs[job_id],
+                    "error",
+                    error="daemon stopped before the retry ran",
+                )
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
         for thread in self._threads:
@@ -354,6 +380,35 @@ class ProfileDaemon:
     def jobs(self) -> List[Job]:
         with self._lock:
             return sorted(self._jobs.values(), key=lambda j: j.id)
+
+    def changes(self, since: int, boot: str, wait_s: float) -> Dict:
+        """The jobs finished after change ``since`` of boot ``boot``.
+
+        Answers as soon as there is one, else after ``wait_s`` (capped at
+        ``_LONG_POLL_MAX_S``) with none. A cursor from another boot, or
+        one behind the trimmed change log, is answered ``full``: the
+        whole table, from which the caller reconciles. Job dicts are
+        built under the lock so none is caught halfway through a finish.
+        """
+        deadline = time.monotonic() + min(wait_s, _LONG_POLL_MAX_S)
+        with self._changed:
+            while True:
+                cursor = {"boot": self.boot_id, "seq": self._seq}
+                if boot != self.boot_id or not (
+                    self._changes_floor <= since <= self._seq
+                ):
+                    jobs = [job.to_dict() for job in self.jobs()]
+                    return {**cursor, "full": True, "jobs": jobs}
+                fresh = list(
+                    itertools.takewhile(
+                        lambda change: change[0] > since, reversed(self._changes)
+                    )
+                )
+                remaining = deadline - time.monotonic()
+                if fresh or remaining <= 0 or self._stopping:
+                    jobs = [self._jobs[job_id].to_dict() for _, job_id in fresh[::-1]]
+                    return {**cursor, "full": False, "jobs": jobs}
+                self._changed.wait(remaining)
 
     def health(self) -> Dict:
         with self._lock:
@@ -532,12 +587,12 @@ class ProfileDaemon:
                 return False
             if not self.breaker.allow(job.workload):
                 self.stats["breaker_rejections"] += 1
-                job.status = "error"
-                job.error = (
-                    f"circuit open for workload {job.workload!r} "
-                    f"(repeated failures); retry after cooldown"
+                self._finish_locked(
+                    job,
+                    "error",
+                    error=f"circuit open for workload {job.workload!r} "
+                    f"(repeated failures); retry after cooldown",
                 )
-                job.finished_at = time.time()
                 return False
             job.status = "running"
             job.attempts += 1
@@ -563,9 +618,9 @@ class ProfileDaemon:
         except RuntimeError:
             # Pool already shut down — daemon is stopping.
             with self._lock:
-                job.status = "error"
-                job.error = "daemon shut down before the job ran"
-                job.finished_at = time.time()
+                self._finish_locked(
+                    job, "error", error="daemon shut down before the job ran"
+                )
             return False
         with self._lock:
             self._inflight[job_id] = future
@@ -593,6 +648,7 @@ class ProfileDaemon:
                 ]
                 for job_id in expired:
                     self._handle_timeout(job_id)
+                self._retain_locked()
 
     def _handle_timeout(self, job_id: str) -> None:
         """One job blew its deadline (called with the lock held)."""
@@ -630,9 +686,7 @@ class ProfileDaemon:
             self._deadlines.pop(job_id, None)
             self._slots.release()
             if future.cancelled():
-                job.status = "error"
-                job.error = "cancelled at daemon shutdown"
-                job.finished_at = time.time()
+                self._finish_locked(job, "error", error="cancelled at daemon shutdown")
                 return
             exc = future.exception()
             if isinstance(exc, BrokenProcessPool):
@@ -698,9 +752,7 @@ class ProfileDaemon:
             pass  # the job's profile is durable; sketches/replicas heal
         with self._lock:
             self.breaker.record_success(job.workload)
-            job.status = "done"
-            job.profile_id = profile_id
-            job.finished_at = time.time()
+            self._finish_locked(job, "done", profile_id=profile_id)
 
     def _record_failure(self, job: Job, message: str) -> None:
         """A clean failure: charge the breaker, retry or give up."""
@@ -714,9 +766,56 @@ class ProfileDaemon:
                     job.attempts
                 )
                 return
-            job.status = "error"
-            job.error = message
-            job.finished_at = time.time()
+            self._finish_locked(job, "error", error=message)
+
+    def _finish_locked(
+        self,
+        job: Job,
+        status: str,
+        *,
+        error: Optional[str] = None,
+        profile_id: Optional[str] = None,
+    ) -> None:
+        """Make ``job`` terminal: the one finish path (lock held).
+
+        Stamps ``finished_at``, logs the change under the next sequence
+        number and wakes every ``GET /jobs?since=`` long-poll, so the
+        gateway hears of the finish at once, then applies retention.
+        """
+        job.status = status
+        job.error = error
+        job.profile_id = profile_id
+        job.finished_at = time.time()
+        self._seq += 1
+        self._changes.append((self._seq, job.id))
+        self._changed.notify_all()
+        self._retain_locked()
+
+    def _retain_locked(self) -> None:
+        """Evict terminal jobs by the gateway ledger's rule (lock held).
+
+        The change log lists the terminal jobs oldest first, so the jobs
+        :func:`~repro.serve.jobs.retention_evicts` would pick (finished
+        more than ``TERMINAL_RETENTION_S`` ago, then the oldest past
+        ``TERMINAL_RETENTION_MAX``) are its head, and each check or
+        eviction is O(1). A cursor below an evicted change would miss
+        it in a delta, so the floor rises to that change and such a
+        cursor gets a ``full`` answer. An evicted job's submit key stays behind but
+        names no job: :func:`~repro.serve.jobs.find_submitted` treats it
+        as new, and :meth:`_evict_submit_keys_locked` drops it past the
+        key cap.
+        """
+        now = time.time()
+        while self._changes:
+            seq, job_id = self._changes[0]
+            if (
+                len(self._changes) <= TERMINAL_RETENTION_MAX
+                and now - self._jobs[job_id].finished_at <= TERMINAL_RETENTION_S
+            ):
+                return
+            self._changes.popleft()
+            del self._jobs[job_id]
+            self._changes_floor = seq
 
     # -- pool-break incident handling ------------------------------------
 
@@ -744,11 +843,11 @@ class ProfileDaemon:
         """Requeue a pool-break victim (lock held), capped per job."""
         job.crash_requeues += 1
         if job.crash_requeues > self.max_crash_requeues:
-            job.status = "error"
-            job.error = (
-                f"gave up after {job.crash_requeues} pool-break requeues: {note}"
+            self._finish_locked(
+                job,
+                "error",
+                error=f"gave up after {job.crash_requeues} pool-break requeues: {note}",
             )
-            job.finished_at = time.time()
             return
         self.stats["requeues"] += 1
         job.status = "queued"
@@ -831,6 +930,19 @@ def _routes(daemon: ProfileDaemon) -> Routes:
         merged_id, merged = merge_stored(store, ids)
         return 201, {"id": merged_id, "profile": merged.to_dict()}
 
+    def jobs(request: Request) -> Dict:
+        query = request.query
+        if "since" not in query:
+            # Unpaged: the callers that list jobs read the whole table.
+            return {"jobs": [j.to_dict() for j in daemon.jobs()]}
+        try:
+            since, wait_s = int(query["since"]), float(query.get("wait", 0))
+        except ValueError as exc:
+            raise ServeError(f"since/wait must be numbers: {exc}") from None
+        if since < 0 or not wait_s >= 0:
+            raise ServeError("since/wait must be non-negative")
+        return daemon.changes(since, query.get("boot", ""), wait_s)
+
     def replicate(request: Request):
         body = request.json()
         entry = body.get("entry")
@@ -845,9 +957,7 @@ def _routes(daemon: ProfileDaemon) -> Routes:
             202,
             {"job": daemon.submit(request.json()).to_dict()},
         ),
-        # Unpaged: the gateway's poller reads the whole listing to spot
-        # jobs a restarted shard lost.
-        ("GET", "jobs"): lambda request: {"jobs": [j.to_dict() for j in daemon.jobs()]},
+        ("GET", "jobs"): jobs,
         ("GET", "jobs", "*"): lambda request: {
             "job": daemon.job(request.parts[1]).to_dict()
         },

@@ -3,14 +3,25 @@
 :class:`ServeFrontend` serves the shards' API over the whole plane, on
 the same :mod:`~repro.serve.httpapi` server the shards use:
 
-* **Batched submission** — ``POST /jobs`` is answered *immediately*
-  (202, a gateway id ``gw-…``) with no shard I/O on the submit path; a
-  dispatcher thread drains the pending buffer every ``batch_window_s``
-  (or at ``batch_max``), routes each job's ``(workload, config_hash)``
-  key through the consistent-hash router, and flushes per-shard
-  batches concurrently. This is what lets the gateway accept tens of
-  thousands of queued jobs while the shards chew through them at
-  worker speed.
+* **Dispatch on accept** — ``POST /jobs`` is answered *immediately*
+  (202, a gateway id ``gw-…``) with no shard I/O on the submit path.
+  Every accept wakes a dispatcher thread, which routes each pending
+  job's ``(workload, config_hash)`` key through the consistent-hash
+  router and flushes the per-shard groups concurrently. An idle
+  dispatcher sends a job at once; jobs accepted while a flush is in
+  flight go out together in the next one, so a backlog still batches.
+  This is what lets the gateway accept tens of thousands of queued jobs
+  while the shards chew through them at worker speed.
+* **Pushed completions** — each live shard has a watcher thread,
+  started with the gateway, holding a long-poll on the shard's change
+  cursor (``GET /jobs?since=<seq>&boot=<id>&wait=<s>``), which the shard
+  answers the moment a job finishes, with only the jobs finished since.
+  Status traffic per job is therefore independent of the shard's
+  history. Only a ``full`` answer (the watcher's first, a restarted
+  shard's new boot id, or a cursor behind the shard's trimmed log)
+  reconciles against the whole table, and that is where lost jobs are
+  found: a job dispatched to the shard before the request went out and
+  missing from its table is requeued.
 * **Durable acceptance** — every accepted job lives in the gateway
   ledger until a shard reports it terminal. With a
   :class:`~repro.serve.wal.WriteAheadLog` attached, the ledger survives
@@ -18,9 +29,9 @@ the same :mod:`~repro.serve.httpapi` server the shards use:
   is appended to the checksummed log **before** the client hears 202,
   and a restarted gateway replays checkpoint + log, requeues every
   non-terminal job, and dispatches the backlog — ``kill -9`` mid-burst
-  loses nothing. If a shard dies, the poller marks it down on the
-  router and re-dispatches that shard's non-terminal jobs to the key's
-  next live owner: dispatch is at-least-once, but storage stays
+  loses nothing. If a shard dies, its watcher's failed request marks it
+  down on the router and re-dispatches that shard's non-terminal jobs to
+  the key's next live owner: dispatch is at-least-once, but storage stays
   exactly-once because workloads are deterministic and the store is
   content-addressed — a re-run of the same job hashes to the same
   profile id. Terminal records are evicted after a retention window
@@ -34,6 +45,24 @@ the same :mod:`~repro.serve.httpapi` server the shards use:
   marked in the response) — routing, not fan-out, is what keeps
   replicated profiles from double-counting in aggregates. A read the
   shards fail answers 502.
+
+A poll thread, every ``poll_interval_s``, probes down shards back up,
+requeues the jobs of shards marked down elsewhere (``ShardPlane.kill``),
+starts watchers for shards back up or newly added, and applies ledger
+retention.
+
+Endpoints::
+
+    POST /jobs                    accept a job (202, gw id); a submit_key dedupes
+    GET  /jobs                    the ledger (paged) with status counts
+    GET  /jobs/<gw id>            one ledger record
+    GET  /health                  counters, ledger, WAL, epoch, live/down shards
+    GET  /shards                  the router's ring and shard health
+    POST /reshard                 {"action": "add"|"remove", "shard"?} (202)
+    GET  /reshard                 the running or last migration
+    GET  /profiles                fan-out listing, deduplicated by content id
+    GET  /profiles/<id>           a stored profile from any live shard
+    GET  /trend, GET /sketch      routed to the key's primary (or replica)
 """
 
 from __future__ import annotations
@@ -43,7 +72,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ServeError, StoreError
 from repro.serve.client import ServeClient
@@ -57,12 +86,24 @@ from repro.serve.httpapi import (
     page_params,
     paginate,
 )
-from repro.serve.jobs import TERMINAL, find_submitted, new_job, pop_submit_key
+from repro.serve.jobs import (
+    TERMINAL,
+    TERMINAL_RETENTION_MAX,
+    TERMINAL_RETENTION_S,
+    find_submitted,
+    new_job,
+    pop_submit_key,
+    retention_evicts,
+)
 from repro.serve.router import ShardRouter, shard_key
 from repro.serve.wal import WriteAheadLog
 
 #: Threads flushing dispatch batches, one shard per thread at a time.
 _FLUSH_WORKERS = 8
+
+#: How long a watcher's long-poll waits for a finish; it also bounds how
+#: long a stopping gateway waits for its watchers.
+_WATCH_WAIT_S = 1.0
 
 
 class ServeFrontend:
@@ -74,19 +115,16 @@ class ServeFrontend:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window_s: float = 0.05,
-        batch_max: int = 64,
         poll_interval_s: float = 0.25,
         shard_timeout_s: float = 30.0,
         wal: Union[WriteAheadLog, str, Path, None] = None,
         plane=None,
-        terminal_retention_s: float = 3600.0,
-        terminal_retention_max: int = 10000,
+        terminal_retention_s: float = TERMINAL_RETENTION_S,
+        terminal_retention_max: int = TERMINAL_RETENTION_MAX,
         wal_compact_every: int = 2048,
     ) -> None:
         self.router = router
-        self.batch_window_s = batch_window_s
-        self.batch_max = batch_max
+        #: Down-shard probe and ledger-maintenance interval.
         self.poll_interval_s = poll_interval_s
         self.shard_timeout_s = shard_timeout_s
         #: Durable ledger log; ``None`` keeps the PR 9 in-memory-only
@@ -124,6 +162,15 @@ class ServeFrontend:
         #: gw ids accepted but not yet flushed to a shard.
         self._pending: List[str] = []
         self._batch_event = threading.Event()
+        #: shard -> {shard job id: gw id} for every record dispatched
+        #: there and not yet terminal, so matching a watcher's answer
+        #: costs the answer's size, not the ledger's.
+        self._in_flight: Dict[str, Dict[str, str]] = {}
+        #: shard -> its watcher thread (see :meth:`_watch`).
+        self._watchers: Dict[str, threading.Thread] = {}
+        #: shard -> the lock a submit to it holds until its dispatch is
+        #: recorded, and its watcher holds while applying an answer.
+        self._gates: Dict[str, threading.Lock] = {}
         self.stats = {
             "accepted": 0,
             "dispatched": 0,
@@ -175,6 +222,7 @@ class ServeFrontend:
         for thread in self._threads:
             thread.start()
         self._threads.append(self._server.start("repro-gateway-http"))
+        self._ensure_watchers(self.router.live_shards())
 
     def stop(self) -> None:
         """Stop serving; release the socket, the flush pool and the WAL.
@@ -195,7 +243,7 @@ class ServeFrontend:
                 pass
         if self.wal is not None:
             self.wal.close()
-        stuck = [t.name for t in self._threads if t.is_alive()]
+        stuck = [t.name for t in self._all_threads() if t.is_alive()]
         if stuck:
             raise ServeError(f"gateway threads failed to stop: {stuck}")
 
@@ -216,14 +264,19 @@ class ServeFrontend:
 
     def _halt(self) -> bool:
         """Close the server and join the threads; True if it was running."""
-        started, self._started = self._started, False
+        with self._lock:  # no watcher starts after this
+            started, self._started = self._started, False
         self._stop_event.set()
         self._batch_event.set()
         self._server.close()
-        for thread in self._threads:
+        for thread in self._all_threads():
             thread.join(timeout=5)
         self._io.shutdown(wait=False, cancel_futures=True)
         return started
+
+    def _all_threads(self) -> List[threading.Thread]:
+        with self._lock:
+            return self._threads + list(self._watchers.values())
 
     # -- durable ledger (WAL) -------------------------------------------
 
@@ -346,30 +399,19 @@ class ServeFrontend:
         which is what keeps both the ledger and the log bounded under
         sustained traffic.
         """
-        now = time.time()
-        evicted = 0
         with self._lock:
-            terminal = [
-                record
-                for record in self.ledger.values()
-                if record["status"] in TERMINAL
-            ]
-            expired_ids = {
-                record["id"]
-                for record in terminal
-                if now - (record.get("terminal_at") or record["accepted_at"])
-                > self.terminal_retention_s
-            }
-            overflow = len(terminal) - len(expired_ids) - self.terminal_retention_max
-            if overflow > 0:
-                survivors = sorted(
-                    (r for r in terminal if r["id"] not in expired_ids),
-                    key=lambda r: r.get("terminal_at") or r["accepted_at"],
-                )
-                expired_ids.update(r["id"] for r in survivors[:overflow])
+            expired_ids = retention_evicts(
+                (
+                    (r["id"], r["status"], r.get("terminal_at") or r["accepted_at"])
+                    for r in self.ledger.values()
+                ),
+                now=time.time(),
+                retention_s=self.terminal_retention_s,
+                retention_max=self.terminal_retention_max,
+            )
             for gw_id in expired_ids:
-                record = self.ledger.pop(gw_id, None)
-                if record and record.get("submit_key"):
+                record = self.ledger.pop(gw_id)
+                if record.get("submit_key"):
                     self._submit_keys.pop(record["submit_key"], None)
             evicted = len(expired_ids)
             self.stats["evicted_terminal"] += evicted
@@ -460,9 +502,7 @@ class ServeFrontend:
                     self._submit_keys[submit_key] = gw_id
                 self._pending.append(gw_id)
                 self.stats["accepted"] += 1
-                depth = len(self._pending)
-        if depth >= self.batch_max:
-            self._batch_event.set()
+        self._batch_event.set()
         return _public(record)
 
     def _jobs_listing(self, query: Dict) -> Dict:
@@ -507,8 +547,10 @@ class ServeFrontend:
     # -- dispatcher ------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
+        # Accepts, requeues and shard recoveries set the event; the
+        # timeout retries jobs that no live shard could take.
         while not self._stop_event.is_set():
-            self._batch_event.wait(self.batch_window_s)
+            self._batch_event.wait(self.poll_interval_s)
             self._batch_event.clear()
             if self._stop_event.is_set():
                 return
@@ -556,26 +598,63 @@ class ServeFrontend:
                 if record is None or record["status"] in TERMINAL:
                     continue
                 payload = dict(record["payload"])
-            try:
-                job = client._request("/jobs", body=payload)["job"]
-            except ServeError as exc:
-                self._shard_trouble(shard, gw_ids=[gw_id], reason=str(exc))
-                return
-            with self._lock:
-                record = self.ledger.get(gw_id)
-                if record is not None:
-                    record["status"] = "dispatched"
-                    record["shard"] = shard
-                    record["shard_job_id"] = job["id"]
-                    self.stats["dispatched"] += 1
-            self._wal_append(
-                {
-                    "op": "dispatch",
-                    "id": gw_id,
-                    "shard": shard,
-                    "shard_job_id": job["id"],
-                }
-            )
+            # The job can finish before its dispatch is recorded; holding
+            # the gate keeps the shard's watcher from applying that report
+            # until the record is there to take it.
+            with self._gate(shard):
+                try:
+                    job = client._request("/jobs", body=payload)["job"]
+                except ServeError as exc:
+                    self._shard_trouble(shard, gw_ids=[gw_id], reason=str(exc))
+                    return
+                self._record_dispatch(shard, gw_id, job["id"])
+
+    def _record_dispatch(self, shard: str, gw_id: str, shard_job_id: str) -> None:
+        """Mark a record dispatched to ``shard`` (under the shard's gate).
+
+        ``dispatched_at`` is the job's timeline stamp, on the wall clock
+        like ``accepted_at``; ``dispatched_mono`` orders the dispatch
+        against a watcher's request (see :meth:`_apply_changes`), which
+        a wall-clock step must not reorder.
+        """
+        with self._lock:
+            record = self.ledger.get(gw_id)
+            if record is not None:
+                record["status"] = "dispatched"
+                record["shard"] = shard
+                record["shard_job_id"] = shard_job_id
+                record["dispatched_at"] = time.time()
+                record["dispatched_mono"] = time.monotonic()
+                self._in_flight.setdefault(shard, {})[shard_job_id] = gw_id
+                self.stats["dispatched"] += 1
+        self._wal_append(
+            {"op": "dispatch", "id": gw_id, "shard": shard, "shard_job_id": shard_job_id}
+        )
+
+    def _gate(self, shard: str) -> threading.Lock:
+        with self._lock:
+            return self._gates.setdefault(shard, threading.Lock())
+
+    def _dispatched_locked(self, shard: str) -> List[str]:
+        """The gw ids in flight on ``shard`` (caller holds ``_lock``)."""
+        return list(self._in_flight.get(shard, {}).values())
+
+    def _requeue_locked(self, gw_ids: Iterable[str]) -> List[str]:
+        """Send records back to ``accepted`` for re-dispatch.
+
+        Caller holds ``_lock``, then logs the returned (sorted) ids as
+        one WAL ``requeue`` record and wakes the dispatcher.
+        """
+        requeued = sorted(gw_ids)
+        for gw_id in requeued:
+            record = self.ledger[gw_id]
+            self._in_flight.get(record["shard"], {}).pop(record["shard_job_id"], None)
+            record["status"] = "accepted"
+            record["shard"] = None
+            record["shard_job_id"] = None
+            self._pending.append(gw_id)
+            self.stats["redispatched"] += 1
+        return requeued
 
     def _shard_trouble(
         self, shard: str, *, gw_ids: Optional[List[str]] = None, reason: str = ""
@@ -588,25 +667,113 @@ class ServeFrontend:
                 return  # already decommissioned (reshard remove race)
             with self._lock:
                 self.stats["shards_marked_down"] += 1
-        requeue = set(gw_ids or [])
         with self._lock:
-            for gw_id, record in self.ledger.items():
-                if (
-                    record["shard"] == shard
-                    and record["status"] not in TERMINAL
-                ):
-                    requeue.add(gw_id)
-            for gw_id in sorted(requeue):
-                record = self.ledger[gw_id]
-                record["status"] = "accepted"
-                record["shard"] = None
-                record["shard_job_id"] = None
-                self._pending.append(gw_id)
-                self.stats["redispatched"] += 1
-                self.stats["dispatch_failures"] += 1
-        if requeue:
-            self._wal_append({"op": "requeue", "ids": sorted(requeue)})
+            stranded = set(gw_ids or [])
+            stranded.update(self._dispatched_locked(shard))
+            requeued = self._requeue_locked(stranded)
+            self.stats["dispatch_failures"] += len(requeued)
+        if requeued:
+            self._wal_append({"op": "requeue", "ids": requeued})
         self._batch_event.set()
+
+    # -- completions: one watcher per shard ------------------------------
+
+    def _ensure_watchers(self, shards: Iterable[str]) -> None:
+        """Start a watcher for each of ``shards`` without a running one.
+
+        Every live shard is watched from the gateway's start, whether or
+        not it has jobs: no watcher thread is then started in the middle
+        of a burst, which put an in-process plane into a regime where it
+        accepted half as many jobs per second (DESIGN.md §12).
+        """
+        with self._lock:
+            if not self._started:
+                return  # stopping
+            for shard in shards:
+                watcher = self._watchers.get(shard)
+                if watcher is not None and watcher.is_alive():
+                    continue
+                watcher = threading.Thread(
+                    target=self._watch,
+                    args=(shard,),
+                    name=f"repro-gateway-watch-{shard}",
+                    daemon=True,
+                )
+                self._watchers[shard] = watcher
+                watcher.start()
+
+    def _watch(self, shard: str) -> None:
+        """Hold a long-poll on ``shard``'s change cursor.
+
+        Runs until the gateway stops or the shard is down; a failed
+        request marks it down and requeues its jobs. The cursor starts
+        empty, so the first answer is ``full`` and reconciles.
+        """
+        cursor = ("", 0)
+        while not self._stop_event.is_set() and not self.router.is_down(shard):
+            try:
+                cursor = self._watch_once(shard, cursor)
+            except ServeError as exc:
+                self._shard_trouble(shard, reason=str(exc))
+                return
+
+    def _watch_once(self, shard: str, cursor: Tuple[str, int]) -> Tuple[str, int]:
+        """One long-poll on ``shard``, applied; returns the next cursor."""
+        boot, since = cursor
+        client = self._client(shard, wait_s=_WATCH_WAIT_S)
+        sent_at = time.monotonic()
+        answer = client.jobs_since(since, boot, _WATCH_WAIT_S)
+        with self._gate(shard):
+            self._apply_changes(shard, answer, sent_at)
+        return answer["boot"], answer["seq"]
+
+    def _apply_changes(self, shard: str, answer: Dict, sent_at: float) -> None:
+        """Apply one cursor answer from ``shard`` to the ledger.
+
+        A finished job makes its record terminal. A ``full`` answer also
+        reconciles: a record dispatched before the request was sent at
+        ``sent_at`` (``time.monotonic()``) and missing from the table was
+        lost (the shard restarted) and is requeued. A record dispatched
+        later may postdate the table, so its absence proves nothing.
+        """
+        transitions: List[Dict] = []
+        with self._lock:
+            in_flight = self._in_flight.get(shard, {})
+            lost = []
+            if answer["full"]:
+                listed = {job["id"] for job in answer["jobs"]}
+                lost = [
+                    gw_id
+                    for job_id, gw_id in in_flight.items()
+                    if job_id not in listed
+                    and self.ledger[gw_id]["dispatched_mono"] < sent_at
+                ]
+            for job in answer["jobs"]:
+                if job["status"] in TERMINAL and job["id"] in in_flight:
+                    record = self.ledger[in_flight.pop(job["id"])]
+                    record["status"] = job["status"]
+                    record["profile_id"] = job.get("profile_id")
+                    record["error"] = job.get("error")
+                    record["terminal_at"] = time.time()
+                    # The payload will never be re-dispatched again;
+                    # dropping it bounds per-record memory.
+                    record["payload"] = None
+                    transitions.append(
+                        {
+                            "op": "terminal",
+                            "id": record["id"],
+                            "status": record["status"],
+                            "profile_id": record["profile_id"],
+                            "error": record["error"],
+                            "at": record["terminal_at"],
+                        }
+                    )
+            requeued = self._requeue_locked(lost)
+        for op in transitions:
+            self._wal_append(op)
+        if requeued:
+            self._wal_append({"op": "requeue", "ids": requeued})
+            self._batch_event.set()
 
     # -- poller ----------------------------------------------------------
 
@@ -634,56 +801,15 @@ class ServeFrontend:
             with self._lock:
                 self.stats["shards_marked_up"] += 1
             self._batch_event.set()
-        # Refresh dispatched-job statuses, one listing per shard.
+        # A shard can be marked down without its watcher failing
+        # (ShardPlane.kill marks the router itself), so its jobs are
+        # requeued here. A shard back up or newly added gets a watcher.
         with self._lock:
-            shards = {
-                record["shard"]
-                for record in self.ledger.values()
-                if record["status"] == "dispatched" and record["shard"]
-            }
+            shards = [shard for shard, jobs in self._in_flight.items() if jobs]
         for shard in sorted(shards):
-            try:
-                jobs = {j["id"]: j for j in self._client(shard).jobs()}
-            except ServeError as exc:
-                self._shard_trouble(shard, reason=str(exc))
-                continue
-            transitions: List[Dict] = []
-            requeued: List[str] = []
-            with self._lock:
-                for record in self.ledger.values():
-                    if record["shard"] != shard or record["status"] != "dispatched":
-                        continue
-                    job = jobs.get(record["shard_job_id"])
-                    if job is None:
-                        # The shard lost the job (e.g. restarted): requeue.
-                        record["status"] = "accepted"
-                        record["shard"] = None
-                        record["shard_job_id"] = None
-                        self._pending.append(record["id"])
-                        self.stats["redispatched"] += 1
-                        requeued.append(record["id"])
-                    elif job["status"] in TERMINAL:
-                        record["status"] = job["status"]
-                        record["profile_id"] = job.get("profile_id")
-                        record["error"] = job.get("error")
-                        record["terminal_at"] = time.time()
-                        # The payload will never be re-dispatched again;
-                        # dropping it bounds per-record memory.
-                        record["payload"] = None
-                        transitions.append(
-                            {
-                                "op": "terminal",
-                                "id": record["id"],
-                                "status": record["status"],
-                                "profile_id": record["profile_id"],
-                                "error": record["error"],
-                                "at": record["terminal_at"],
-                            }
-                        )
-            for op in transitions:
-                self._wal_append(op)
-            if requeued:
-                self._wal_append({"op": "requeue", "ids": requeued})
+            if self.router.is_down(shard):
+                self._shard_trouble(shard, reason="marked down")
+        self._ensure_watchers(self.router.live_shards())
         self._maintain_ledger()
 
     # -- live resharding -------------------------------------------------
@@ -875,38 +1001,22 @@ class ServeFrontend:
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline and not self._stop_event.is_set():
             with self._lock:
-                waiting = [
-                    gw_id
-                    for gw_id, record in self.ledger.items()
-                    if record["shard"] == name
-                    and record["status"] not in TERMINAL
-                ]
-            if not waiting:
-                return
+                if not self._dispatched_locked(name):
+                    return
             time.sleep(min(0.1, self.poll_interval_s))
         with self._lock:
-            stranded = []
-            for gw_id, record in self.ledger.items():
-                if (
-                    record["shard"] == name
-                    and record["status"] not in TERMINAL
-                ):
-                    record["status"] = "accepted"
-                    record["shard"] = None
-                    record["shard_job_id"] = None
-                    self._pending.append(gw_id)
-                    self.stats["redispatched"] += 1
-                    stranded.append(gw_id)
-        if stranded:
-            self._wal_append({"op": "requeue", "ids": sorted(stranded)})
+            requeued = self._requeue_locked(self._dispatched_locked(name))
+        if requeued:
+            self._wal_append({"op": "requeue", "ids": requeued})
             self._batch_event.set()
 
     # -- shard reads -----------------------------------------------------
 
-    def _client(self, shard: str) -> ServeClient:
+    def _client(self, shard: str, *, wait_s: float = 0.0) -> ServeClient:
+        """A client for ``shard``; a long-poll adds its ``wait_s``."""
         return ServeClient(
             self.router.url(shard),
-            timeout=self.shard_timeout_s,
+            timeout=self.shard_timeout_s + wait_s,
             connect_timeout_s=min(5.0, self.shard_timeout_s),
         )
 
@@ -1021,8 +1131,11 @@ def _shard_read(read):
 
 
 def _public(record: Dict) -> Dict:
-    """A ledger record as clients see it: without the job payload."""
-    return {k: v for k, v in record.items() if k != "payload"}
+    """A ledger record as clients see it: without the job payload or the
+    gateway-local ``dispatched_mono`` stamp."""
+    return {
+        k: v for k, v in record.items() if k not in ("payload", "dispatched_mono")
+    }
 
 
 def _probe_config_hash(probe) -> str:

@@ -20,7 +20,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.config import ScaleneConfig
 from repro.core.profile_data import FunctionReport, LineReport, ProfileData
@@ -108,6 +108,41 @@ def find_submitted(submit_keys: Dict[str, str], records: Dict, submit_key):
     if record is None:
         del submit_keys[submit_key]
     return record
+
+
+#: Terminal-record retention, the same on both roles: a record leaves
+#: the shard's job table or the gateway's ledger this long after it
+#: finished, or sooner once this many newer terminal records are kept.
+TERMINAL_RETENTION_S = 3600.0
+TERMINAL_RETENTION_MAX = 10000
+
+
+def retention_evicts(
+    records: Iterable[Tuple[str, str, float]],
+    *,
+    now: float,
+    retention_s: float,
+    retention_max: int,
+) -> Set[str]:
+    """The ids that terminal-record retention evicts from a ledger.
+
+    ``records`` are ``(id, status, finished_at)``. Only terminal records
+    are candidates: first every one finished more than ``retention_s``
+    ago, then the oldest of the rest past ``retention_max``. A queued or
+    running record is never evicted, however full the table. A shard
+    applies the same rule to its change log, which already lists its
+    terminal jobs oldest first (``ProfileDaemon._retain_locked``).
+    """
+    terminal = [(rid, at) for rid, status, at in records if status in TERMINAL]
+    evicted = {rid for rid, at in terminal if now - at > retention_s}
+    overflow = len(terminal) - len(evicted) - retention_max
+    if overflow > 0:
+        survivors = sorted(
+            ((rid, at) for rid, at in terminal if rid not in evicted),
+            key=lambda pair: pair[1],
+        )
+        evicted.update(rid for rid, _ in survivors[:overflow])
+    return evicted
 
 
 def new_job(payload: Dict) -> Job:

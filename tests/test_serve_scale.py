@@ -372,7 +372,7 @@ def test_bad_page_params_are_rejected(paged_client):
 def gateway_plane(tmp_path_factory):
     plane = ShardPlane(tmp_path_factory.mktemp("gw-plane"), shards=2, workers=1)
     router = plane.start()
-    gateway = ServeFrontend(router, batch_window_s=0.02, poll_interval_s=0.1)
+    gateway = ServeFrontend(router, poll_interval_s=0.1)
     gateway.start()
     yield plane, ServeClient(gateway.url)
     gateway.stop()
