@@ -29,7 +29,7 @@ import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.injector import FaultInjector, FaultSpec
 
@@ -194,19 +194,11 @@ def run_chaos(
             )
             for spec in specs
         ]
-        job_ids = [job["id"] for job in submitted]
-        _wait_ended(report.problems, client, submitted, wait_s)
-        final = {job["id"]: job for job in client.jobs() if job["id"] in set(job_ids)}
-        report.healing = client.health()["healing"]
-
         # -- exactly-once: every job done, with a stored profile --------
-        if len(final) != len(job_ids):
-            report.problems.append(
-                f"job ledger lost entries: submitted {len(job_ids)}, "
-                f"daemon reports {len(final)}"
-            )
-        for job_id in job_ids:
-            job = final.get(job_id)
+        final, done_profiles = _check_done(report.problems, client, submitted, wait_s)
+        report.healing = client.health()["healing"]
+        for accepted in submitted:
+            job = final.get(accepted["id"])
             if job is None:
                 continue
             report.jobs.append(
@@ -220,14 +212,6 @@ def run_chaos(
                     "error": job["error"],
                 }
             )
-            if job["status"] != "done":
-                report.problems.append(
-                    f"{job_id} ({job['workload']}) ended "
-                    f"{job['status']}: {job['error']}"
-                )
-            elif not job["profile_id"]:
-                report.problems.append(f"{job_id} done but has no profile id")
-        done_profiles = [j["profile_id"] for j in report.jobs if j["profile_id"]]
         if len(set(done_profiles)) != len(done_profiles):
             report.problems.append(
                 "duplicated work: two jobs share a stored profile id "
@@ -315,15 +299,82 @@ def _wait_for(problems: List[str], what: str, probe: Callable, wait_s: float):
         time.sleep(0.05)
 
 
-def _wait_ended(problems: List[str], client, jobs: List[Dict], wait_s: float) -> None:
-    """Wait until every job in ``jobs`` is terminal (errored ones count)."""
+def _check_done(
+    problems: List[str], client, accepted: List[Dict], wait_s: float
+) -> Tuple[Dict, List[str]]:
+    """Wait for every accepted job to end; check each ended ``done``.
+
+    A job missing from the final listing, ended otherwise, or without a
+    profile id is a problem, and so is a listing of another length.
+    Returns the listing by job id and the profile ids of the jobs that
+    passed, in ``accepted`` order.
+    """
     from repro.serve.jobs import TERMINAL
 
     def ended():
         statuses = {job["id"]: job["status"] for job in client.jobs()}
-        return all(statuses.get(job["id"]) in TERMINAL for job in jobs)
+        return all(statuses.get(job["id"]) in TERMINAL for job in accepted)
 
     _wait_for(problems, "every job to end", ended, wait_s)
+    final = {job["id"]: job for job in client.jobs()}
+    if len(final) != len(accepted):
+        problems.append(f"{len(accepted)} jobs accepted, {len(final)} listed")
+    profile_ids = []
+    for job in accepted:
+        record = final.get(job["id"])
+        if record is None:
+            problems.append(f"{job['id']} vanished from the ledger")
+        elif record["status"] != "done":
+            problems.append(
+                f"{job['id']} ({job['workload']}) ended "
+                f"{record['status']}: {record.get('error')}"
+            )
+        elif not record["profile_id"]:
+            problems.append(f"{job['id']} done but has no profile id")
+        else:
+            profile_ids.append(record["profile_id"])
+    return final, profile_ids
+
+
+def _wait_to_kill(report, client, kill_after: int, wait_s: float, ready=None) -> bool:
+    """Wait for ``kill_after`` jobs done (and ``ready(ledger)``) before a
+    kill; False on a timeout. A kill after every job finished proves
+    nothing about work in flight, so that is a problem."""
+
+    def kill_ready():
+        ledger = {job["id"]: job for job in client.jobs()}
+        done = [job for job in ledger.values() if job["status"] == "done"]
+        if len(done) >= kill_after and (ready is None or ready(ledger)):
+            return done
+
+    done = _wait_for(
+        report.problems, f"{kill_after} completions before the kill",
+        kill_ready, wait_s,
+    )
+    if done is None:
+        return False
+    report.done_before_kill = len(done)
+    if report.done_before_kill == report.submitted:
+        report.problems.append(
+            f"all {report.submitted} jobs finished before the kill: "
+            "no work was in flight"
+        )
+    return True
+
+
+def _check_readable(problems: List[str], client, profile_ids, when: str) -> int:
+    """Read back each stored profile; returns how many read.
+
+    A profile that does not read back is a problem, noted with ``when``.
+    """
+    read = 0
+    for profile_id in dict.fromkeys(profile_ids):
+        try:
+            client.profile(profile_id)
+            read += 1
+        except Exception as exc:  # noqa: BLE001 — recorded, not raised
+            problems.append(f"profile {profile_id[:12]} unreadable {when}: {exc}")
+    return read
 
 
 @dataclass
@@ -361,7 +412,8 @@ class ShardChaosReport(_Report):
         return "\n".join(lines)
 
 
-#: Jobs at the end of a shard-chaos burst that run 40x heavier than the rest.
+#: Jobs at the end of a shard- or gateway-chaos burst that run 40x heavier
+#: than the rest.
 _HEAVY_TAIL = 2
 
 
@@ -442,60 +494,21 @@ def run_shard_chaos(
 
         # Let the plane make progress — including the victim key's job —
         # then kill the victim while the rest is still in flight.
-        def kill_ready():
-            ledger = {j["id"]: j for j in client.jobs()}
-            finished = [j for j in ledger.values() if j["status"] == "done"]
-            if len(finished) >= kill_after and ledger[target["id"]]["status"] == "done":
-                return finished
-
-        finished = _wait_for(
-            report.problems, f"{kill_after} completions before the kill",
-            kill_ready, wait_s,
-        )
-        if finished is None:
+        if not _wait_to_kill(
+            report, client, kill_after, wait_s,
+            ready=lambda ledger: ledger[target["id"]]["status"] == "done",
+        ):
             return report
-        report.done_before_kill = len(finished)
-        if report.done_before_kill == report.submitted:
-            report.problems.append(
-                f"all {report.submitted} jobs finished before the kill: "
-                "no work was in flight"
-            )
         plane.kill(victim)
 
         # Every accepted job must still finish exactly once.
-        _wait_ended(report.problems, client, accepted, wait_s)
-        ledger = {j["id"]: j for j in client.jobs()}
-        if len(ledger) != report.submitted:
-            report.problems.append(
-                f"gateway ledger lost jobs: accepted {report.submitted}, "
-                f"lists {len(ledger)}"
-            )
-        for job in accepted:
-            final = ledger.get(job["id"])
-            if final is None:
-                report.problems.append(f"{job['id']} vanished from the ledger")
-            elif final["status"] != "done":
-                report.problems.append(
-                    f"{job['id']} ({job['workload']}) ended "
-                    f"{final['status']}: {final.get('error')}"
-                )
-            elif not final["profile_id"]:
-                report.problems.append(f"{job['id']} done but has no profile id")
+        ledger, profile_ids = _check_done(report.problems, client, accepted, wait_s)
         report.done = sum(1 for j in ledger.values() if j["status"] == "done")
         report.redispatched = gateway.stats["redispatched"]
 
         # With one shard dead, every stored profile must still be served
         # (replica copies / failover re-runs — content addressing dedupes).
-        for job in ledger.values():
-            if not job.get("profile_id"):
-                continue
-            try:
-                client.profile(job["profile_id"])
-            except Exception as exc:  # noqa: BLE001 — recorded, not raised
-                report.problems.append(
-                    f"profile {job['profile_id'][:12]} unreadable with "
-                    f"{victim} down: {exc}"
-                )
+        _check_readable(report.problems, client, profile_ids, f"with {victim} down")
 
         # The victim key's routed read: degraded, from the replica, and
         # sketch-path ids identical to an exact replay of the history.
@@ -641,15 +654,18 @@ def run_gateway_chaos(
         workload_cycle = itertools.cycle(CHAOS_WORKLOADS)
         accepted = [
             client.submit(
-                next(workload_cycle),
+                # The tail of the burst is much heavier so jobs are still
+                # in flight when the gateway dies; its workloads' work grows
+                # with scale (balanced's and leaky's stays at ~3 ms).
+                CHAOS_WORKLOADS[i - jobs + _HEAVY_TAIL]
+                if i >= jobs - _HEAVY_TAIL
+                else next(workload_cycle),
                 mode="cpu",
                 # Distinct scale per repeat of a workload -> distinct
                 # profile content, so duplicated work would be visible.
-                # The tail of the burst is much heavier so jobs are
-                # still in flight when the gateway dies.
                 scale=scale
                 * (1.0 + 0.25 * (i // len(CHAOS_WORKLOADS)))
-                * (40.0 if i >= jobs - 2 else 1.0),
+                * (40.0 if i >= jobs - _HEAVY_TAIL else 1.0),
                 submit_key=f"ck-{seed}-{i}",
             )
             for i in range(jobs)
@@ -657,17 +673,8 @@ def run_gateway_chaos(
         report.submitted = len(accepted)
 
         # Let some jobs finish, keep the rest in flight, then crash-stop.
-        def kill_ready():
-            done = [j for j in client.jobs() if j["status"] == "done"]
-            return done if len(done) >= kill_after else None
-
-        done = _wait_for(
-            report.problems, f"{kill_after} completions before the kill",
-            kill_ready, wait_s,
-        )
-        if done is None:
+        if not _wait_to_kill(report, client, kill_after, wait_s):
             return report
-        report.done_before_kill = len(done)
         gateway.kill()
 
         # A fresh gateway over the same WAL must recover every record.
@@ -708,22 +715,7 @@ def run_gateway_chaos(
             )
 
         # Every accepted job still completes exactly once.
-        _wait_ended(report.problems, client, accepted, wait_s)
-        ledger = {j["id"]: j for j in client.jobs()}
-        profile_ids = []
-        for job in accepted:
-            final = ledger.get(job["id"])
-            if final is None:
-                continue  # already reported missing above
-            if final["status"] != "done":
-                report.problems.append(
-                    f"{job['id']} ({job['workload']}) ended "
-                    f"{final['status']}: {final.get('error')}"
-                )
-            elif not final["profile_id"]:
-                report.problems.append(f"{job['id']} done but has no profile id")
-            else:
-                profile_ids.append(final["profile_id"])
+        ledger, profile_ids = _check_done(report.problems, client, accepted, wait_s)
         report.done = sum(1 for j in ledger.values() if j["status"] == "done")
         report.unique_profiles = len(set(profile_ids))
         if report.unique_profiles != len(profile_ids):
@@ -731,14 +723,7 @@ def run_gateway_chaos(
                 "duplicated work: two distinct payloads share a stored "
                 "profile id"
             )
-        for profile_id in set(profile_ids):
-            try:
-                client.profile(profile_id)
-            except Exception as exc:  # noqa: BLE001 — recorded, not raised
-                report.problems.append(
-                    f"profile {profile_id[:12]} unreadable after "
-                    f"recovery: {exc}"
-                )
+        _check_readable(report.problems, client, profile_ids, "after recovery")
     finally:
         live_gateway.stop()
         plane.stop()
@@ -848,15 +833,10 @@ def run_reshard_chaos(
         # migration window.
         def migrated():
             status = client._request("/reshard")
-            for profile_id in warm_ids:
-                try:
-                    client.profile(profile_id)
-                    report.reads_during_migration += 1
-                except Exception as exc:  # noqa: BLE001 — recorded below
-                    report.problems.append(
-                        f"profile {profile_id[:12]} unreadable during "
-                        f"migration ({status['state']}): {exc}"
-                    )
+            report.reads_during_migration += _check_readable(
+                report.problems, client, warm_ids,
+                f"during migration ({status['state']})",
+            )
             return status if status["state"] in ("done", "failed", "idle") else None
 
         status = _wait_for(report.problems, "the reshard to finish", migrated, wait_s)
@@ -884,18 +864,8 @@ def run_reshard_chaos(
         if router.migrating:
             report.problems.append("router still migrating after reshard done")
 
-        # Every accepted job still completes.
-        _wait_ended(report.problems, client, accepted, wait_s)
-        ledger = {j["id"]: j for j in client.jobs()}
-        for job in accepted:
-            final = ledger.get(job["id"])
-            if final is None:
-                report.problems.append(f"{job['id']} vanished from the ledger")
-            elif final["status"] != "done":
-                report.problems.append(
-                    f"{job['id']} ({job['workload']}) ended "
-                    f"{final['status']}: {final.get('error')}"
-                )
+        # Every accepted job still completes with a profile id.
+        ledger, _ = _check_done(report.problems, client, accepted, wait_s)
         report.done = sum(1 for j in ledger.values() if j["status"] == "done")
 
         # Placement audit: in the new epoch, every stored key's primary

@@ -28,6 +28,7 @@ import urllib.error
 import urllib.request
 import uuid
 from typing import Dict, List, Optional, Sequence
+from urllib.parse import urlencode
 
 from repro.core.profile_data import ProfileData
 from repro.errors import ServeError
@@ -208,8 +209,7 @@ class ServeClient:
 
     def profiles_page(self, **filters) -> Dict:
         """The full paged listing: ``{"profiles", "total", "limit", "offset"}``."""
-        query = "&".join(f"{k}={v}" for k, v in filters.items() if v not in (None, ""))
-        return self._request(f"/profiles{'?' + query if query else ''}")
+        return self._request(query_path("/profiles", filters))
 
     def profile(self, profile_id: str) -> Dict:
         """The stored profile envelope: ``{"id", "meta", "profile"}``."""
@@ -242,16 +242,20 @@ class ServeClient:
 
     def trend(self, **filters) -> Dict:
         """Sketch-backed trend (pass ``exact=1`` to replay history)."""
-        query = "&".join(f"{k}={v}" for k, v in filters.items() if v not in (None, ""))
-        return self._request(f"/trend{'?' + query if query else ''}")
+        return self._request(query_path("/trend", filters))
 
     def sketch(self, **filters) -> Dict:
         """Streaming per-line statistics for an index slice."""
-        query = "&".join(f"{k}={v}" for k, v in filters.items() if v not in (None, ""))
-        return self._request(f"/sketch{'?' + query if query else ''}")
+        return self._request(query_path("/sketch", filters))
 
     def replicate(self, entry: Dict, profile_payload: Dict) -> Dict:
         """Push a profile copy to this daemon (idempotent)."""
         return self._request(
             "/replicate", body={"entry": entry, "profile": profile_payload}
         )
+
+
+def query_path(path: str, filters: Dict) -> str:
+    """``path`` with the filters that are set as a URL-encoded query."""
+    query = urlencode({k: v for k, v in filters.items() if v not in (None, "")})
+    return f"{path}?{query}" if query else path

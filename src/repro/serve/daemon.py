@@ -14,6 +14,9 @@
 * The daemon process is the store's only writer: worker results are
   persisted on arrival, keyed by
   ``(workload, profiler, config hash, git tree hash)``.
+* Jobs live in a :class:`~repro.serve.jobs.JobTable`, as the gateway's
+  ledger does: a ``submit_key`` dedupes resubmissions, and a terminal
+  job leaves, key and all, under the retention rule both roles share.
 * The API is a route table on the shared :mod:`repro.serve.httpapi`
   server (the gateway runs the same one); profile payloads render
   through the existing :mod:`repro.ui` backends (``render_json`` /
@@ -88,14 +91,12 @@ stale sketch file is rebuilt from the store at boot.
 
 from __future__ import annotations
 
-import itertools
 import json
 import queue
 import signal as signal_module
 import threading
 import time
 import uuid
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Union
@@ -108,17 +109,14 @@ from repro.serve.healing import CircuitBreaker, RetryPolicy
 from repro.serve.httpapi import JsonServer, Request, Routes, page_params, paginate
 from repro.serve.jobs import (
     JOB_STATUSES,
-    TERMINAL,
-    TERMINAL_RETENTION_MAX,
-    TERMINAL_RETENTION_S,
     Job,
+    JobTable,
     execute_job,
-    find_submitted,
     new_job,
     pop_submit_key,
 )
 from repro.serve.router import shard_key
-from repro.serve.store import ProfileStore, config_hash, git_tree_hash
+from repro.serve.store import ProfileStore, git_tree_hash
 from repro.serve.streaming import StreamingAggregator
 from repro.ui import render_html, render_json
 
@@ -129,6 +127,13 @@ _MONITOR_TICK_S = 0.02
 
 #: The longest a ``GET /jobs?since=`` long-poll is held open.
 _LONG_POLL_MAX_S = 30.0
+
+#: Pool-break requeues a job may ride before it fails (a crash-looping
+#: job must not ride incidents forever).
+_MAX_CRASH_REQUEUES = 4
+
+#: Read timeout of one replica write to a peer shard.
+_REPLICATE_TIMEOUT_S = 10.0
 
 
 class ProfileDaemon:
@@ -144,46 +149,26 @@ class ProfileDaemon:
         job_timeout_s: float = 120.0,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        max_crash_requeues: int = 4,
         shard_name: str = "",
         router=None,
-        replicate_timeout_s: float = 10.0,
-        submit_key_retention_max: int = 10000,
     ) -> None:
         self.store = store if isinstance(store, ProfileStore) else ProfileStore(store)
         self.workers = max(1, workers)
         self.job_timeout_s = float(job_timeout_s)
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker(5)
-        self.max_crash_requeues = max(0, int(max_crash_requeues))
         #: Scale-out identity: when both are set, accepted profiles
         #: replicate to the key's replica shard (see module docstring).
         self.shard_name = shard_name
         self.router = router
-        self.replicate_timeout_s = float(replicate_timeout_s)
         self._sketch_path = self.store.root / "sketches.json"
         self._agg_lock = threading.Lock()
         self.aggregator = self._load_aggregator()
         self.tree_hash = git_tree_hash()
-        self._jobs: Dict[str, Job] = {}
-        #: submit_key -> job id (client-supplied idempotency keys).
-        #: Bounded: keys whose job is terminal are evicted oldest-first
-        #: past ``submit_key_retention_max`` — the gateway bounds its
-        #: key map via ledger retention; a long-lived daemon needs the
-        #: same cap or keyed submissions grow this dict forever.
-        self._submit_keys: Dict[str, str] = {}
-        self.submit_key_retention_max = max(1, int(submit_key_retention_max))
         self._lock = threading.RLock()
-        #: The change cursor. Every finish takes the next ``_seq`` and
-        #: appends ``(seq, job id)`` to ``_changes``, which so lists the
-        #: table's terminal jobs oldest first; entries at or below
-        #: ``_changes_floor`` left with their evicted jobs. A cursor is
-        #: only meaningful within one ``boot_id``.
+        #: job id -> Job; a change cursor is only good for one boot_id.
+        self._jobs = JobTable(self._lock)
         self.boot_id = uuid.uuid4().hex
-        self._seq = 0
-        self._changes: "deque" = deque()
-        self._changes_floor = 0
-        self._changed = threading.Condition(self._lock)
         self._queue: "queue.Queue" = queue.Queue()
         self._pool: Optional[ProcessPoolExecutor] = None
         #: job id -> the Future currently running it. Identity of the
@@ -252,7 +237,7 @@ class ProfileDaemon:
             if not self._started or self._stopping:
                 return
             self._stopping = True
-            self._changed.notify_all()  # long-polls answer now
+            self._jobs.changed.notify_all()  # long-polls answer now
         self._stop_event.set()
         self._server.close()
         self._queue.put(_SHUTDOWN)
@@ -336,39 +321,17 @@ class ProfileDaemon:
                 raise ServeError("daemon is draining; not accepting new jobs")
         payload, submit_key = pop_submit_key(payload)
         with self._lock:
-            prior = find_submitted(self._submit_keys, self._jobs, submit_key)
+            prior = self._jobs.find(submit_key)
         if prior is not None:
             return prior
         job = new_job(payload)
         with self._lock:
-            prior = find_submitted(self._submit_keys, self._jobs, submit_key)
+            prior = self._jobs.find(submit_key)
             if prior is not None:
                 return prior
-            if submit_key is not None:
-                self._submit_keys[submit_key] = job.id
-                self._evict_submit_keys_locked()
-            self._jobs[job.id] = job
+            self._jobs.add(job.id, job, submit_key)
         self._queue.put(job.id)
         return job
-
-    def _evict_submit_keys_locked(self) -> None:
-        """Drop the oldest terminal-job keys past the retention cap.
-
-        Caller holds ``self._lock``. Keys whose job is still queued or
-        running are never dropped — losing one would let a retried
-        submission double-run an in-flight job. Insertion order is the
-        age order (dicts preserve it), so eviction is oldest-first.
-        """
-        overflow = len(self._submit_keys) - self.submit_key_retention_max
-        if overflow <= 0:
-            return
-        for key in list(self._submit_keys):
-            if overflow <= 0:
-                break
-            job = self._jobs.get(self._submit_keys[key])
-            if job is None or job.status in TERMINAL:
-                del self._submit_keys[key]
-                overflow -= 1
 
     def job(self, job_id: str) -> Job:
         with self._lock:
@@ -391,24 +354,18 @@ class ProfileDaemon:
         built under the lock so none is caught halfway through a finish.
         """
         deadline = time.monotonic() + min(wait_s, _LONG_POLL_MAX_S)
-        with self._changed:
+        with self._lock:
             while True:
-                cursor = {"boot": self.boot_id, "seq": self._seq}
-                if boot != self.boot_id or not (
-                    self._changes_floor <= since <= self._seq
-                ):
+                cursor = {"boot": self.boot_id, "seq": self._jobs.seq}
+                fresh = self._jobs.finished_since(since)
+                if boot != self.boot_id or fresh is None:
                     jobs = [job.to_dict() for job in self.jobs()]
                     return {**cursor, "full": True, "jobs": jobs}
-                fresh = list(
-                    itertools.takewhile(
-                        lambda change: change[0] > since, reversed(self._changes)
-                    )
-                )
                 remaining = deadline - time.monotonic()
                 if fresh or remaining <= 0 or self._stopping:
-                    jobs = [self._jobs[job_id].to_dict() for _, job_id in fresh[::-1]]
+                    jobs = [job.to_dict() for job in fresh]
                     return {**cursor, "full": False, "jobs": jobs}
-                self._changed.wait(remaining)
+                self._jobs.changed.wait(remaining)
 
     def health(self) -> Dict:
         with self._lock:
@@ -518,7 +475,7 @@ class ProfileDaemon:
             try:
                 ServeClient(
                     self.router.url(target),
-                    timeout=self.replicate_timeout_s,
+                    timeout=_REPLICATE_TIMEOUT_S,
                     connect_timeout_s=None,
                     retry=RetryPolicy(1),
                 )._request("/replicate", body=body)
@@ -648,7 +605,7 @@ class ProfileDaemon:
                 ]
                 for job_id in expired:
                     self._handle_timeout(job_id)
-                self._retain_locked()
+                self._jobs.evict(time.time())
 
     def _handle_timeout(self, job_id: str) -> None:
         """One job blew its deadline (called with the lock held)."""
@@ -723,13 +680,7 @@ class ProfileDaemon:
                     profile,
                     workload=job.workload,
                     profiler=job.profiler,
-                    config=config_hash(
-                        {
-                            "mode": job.mode,
-                            "scale": job.scale,
-                            "overrides": job.config or {},
-                        }
-                    ),
+                    config=job.config_hash,
                     tree_hash=self.tree_hash,
                 )
                 break
@@ -778,44 +729,15 @@ class ProfileDaemon:
     ) -> None:
         """Make ``job`` terminal: the one finish path (lock held).
 
-        Stamps ``finished_at``, logs the change under the next sequence
-        number and wakes every ``GET /jobs?since=`` long-poll, so the
-        gateway hears of the finish at once, then applies retention.
+        Stamps ``finished_at`` and logs the finish in the job table,
+        which wakes every ``GET /jobs?since=`` long-poll, so the gateway
+        hears of it at once, and applies retention.
         """
         job.status = status
         job.error = error
         job.profile_id = profile_id
         job.finished_at = time.time()
-        self._seq += 1
-        self._changes.append((self._seq, job.id))
-        self._changed.notify_all()
-        self._retain_locked()
-
-    def _retain_locked(self) -> None:
-        """Evict terminal jobs by the gateway ledger's rule (lock held).
-
-        The change log lists the terminal jobs oldest first, so the jobs
-        :func:`~repro.serve.jobs.retention_evicts` would pick (finished
-        more than ``TERMINAL_RETENTION_S`` ago, then the oldest past
-        ``TERMINAL_RETENTION_MAX``) are its head, and each check or
-        eviction is O(1). A cursor below an evicted change would miss
-        it in a delta, so the floor rises to that change and such a
-        cursor gets a ``full`` answer. An evicted job's submit key stays behind but
-        names no job: :func:`~repro.serve.jobs.find_submitted` treats it
-        as new, and :meth:`_evict_submit_keys_locked` drops it past the
-        key cap.
-        """
-        now = time.time()
-        while self._changes:
-            seq, job_id = self._changes[0]
-            if (
-                len(self._changes) <= TERMINAL_RETENTION_MAX
-                and now - self._jobs[job_id].finished_at <= TERMINAL_RETENTION_S
-            ):
-                return
-            self._changes.popleft()
-            del self._jobs[job_id]
-            self._changes_floor = seq
+        self._jobs.finish(job.id, job.finished_at)
 
     # -- pool-break incident handling ------------------------------------
 
@@ -842,7 +764,7 @@ class ProfileDaemon:
     def _requeue_after_incident(self, job: Job, note: str) -> None:
         """Requeue a pool-break victim (lock held), capped per job."""
         job.crash_requeues += 1
-        if job.crash_requeues > self.max_crash_requeues:
+        if job.crash_requeues > _MAX_CRASH_REQUEUES:
             self._finish_locked(
                 job,
                 "error",

@@ -34,10 +34,10 @@ the same :mod:`~repro.serve.httpapi` server the shards use:
   the key's next live owner: dispatch is at-least-once, but storage stays
   exactly-once because workloads are deterministic and the store is
   content-addressed — a re-run of the same job hashes to the same
-  profile id. Terminal records are evicted after a retention window
-  (checkpoint compaction folds them out of the log), so the ledger is
-  bounded; an optional client ``submit_key`` dedupes resubmissions
-  after a lost response.
+  profile id. The ledger is a :class:`~repro.serve.jobs.JobTable`, as on
+  the shards: terminal records leave it under their retention rule
+  (checkpoint compaction folds them out of the log), so it is bounded,
+  and an optional client ``submit_key`` dedupes resubmissions.
 * **Fan-out reads** — ``GET /profiles`` fans out to every live shard
   and answers with the merged listing, deduplicating replica copies by
   content id. ``GET /trend`` / ``GET /sketch`` are *routed* (single
@@ -48,8 +48,8 @@ the same :mod:`~repro.serve.httpapi` server the shards use:
 
 A poll thread, every ``poll_interval_s``, probes down shards back up,
 requeues the jobs of shards marked down elsewhere (``ShardPlane.kill``),
-starts watchers for shards back up or newly added, and applies ledger
-retention.
+starts watchers for shards back up or newly added, and applies the
+retention age limit.
 
 Endpoints::
 
@@ -75,7 +75,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ServeError, StoreError
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, query_path
 from repro.serve.healing import RetryPolicy
 from repro.serve.httpapi import (
     HttpError,
@@ -90,10 +90,9 @@ from repro.serve.jobs import (
     TERMINAL,
     TERMINAL_RETENTION_MAX,
     TERMINAL_RETENTION_S,
-    find_submitted,
+    JobTable,
     new_job,
     pop_submit_key,
-    retention_evicts,
 )
 from repro.serve.router import ShardRouter, shard_key
 from repro.serve.wal import WriteAheadLog
@@ -104,6 +103,12 @@ _FLUSH_WORKERS = 8
 #: How long a watcher's long-poll waits for a finish; it also bounds how
 #: long a stopping gateway waits for its watchers.
 _WATCH_WAIT_S = 1.0
+
+#: Read timeout of a shard request (a long-poll adds its wait).
+_SHARD_TIMEOUT_S = 30.0
+
+#: WAL appends after which the poll thread checkpoints the ledger.
+_WAL_COMPACT_EVERY = 2048
 
 
 class ServeFrontend:
@@ -116,17 +121,12 @@ class ServeFrontend:
         host: str = "127.0.0.1",
         port: int = 0,
         poll_interval_s: float = 0.25,
-        shard_timeout_s: float = 30.0,
         wal: Union[WriteAheadLog, str, Path, None] = None,
         plane=None,
-        terminal_retention_s: float = TERMINAL_RETENTION_S,
-        terminal_retention_max: int = TERMINAL_RETENTION_MAX,
-        wal_compact_every: int = 2048,
     ) -> None:
         self.router = router
         #: Down-shard probe and ledger-maintenance interval.
         self.poll_interval_s = poll_interval_s
-        self.shard_timeout_s = shard_timeout_s
         #: Durable ledger log; ``None`` keeps the PR 9 in-memory-only
         #: behavior. A path constructs the log in that directory.
         if wal is None or isinstance(wal, WriteAheadLog):
@@ -136,9 +136,6 @@ class ServeFrontend:
         #: The ShardPlane behind the router, when this gateway owns one;
         #: needed only for ``POST /reshard`` (adding/removing daemons).
         self.plane = plane
-        self.terminal_retention_s = terminal_retention_s
-        self.terminal_retention_max = terminal_retention_max
-        self.wal_compact_every = wal_compact_every
         self._server = JsonServer((host, port), _routes(self))
         self._io = ThreadPoolExecutor(max_workers=_FLUSH_WORKERS)
         #: Next gw sequence number (a plain int so checkpoints can carry
@@ -156,9 +153,7 @@ class ServeFrontend:
         #: gw id -> ledger record (see :meth:`_accept_job`). Status goes
         #: ``accepted`` → ``dispatched`` → ``done``/``error``; a
         #: re-dispatch after shard death moves a job back to ``accepted``.
-        self.ledger: Dict[str, Dict] = {}
-        #: submit_key -> gw id (client idempotency keys).
-        self._submit_keys: Dict[str, str] = {}
+        self.ledger = JobTable(self._lock)
         #: gw ids accepted but not yet flushed to a shard.
         self._pending: List[str] = []
         self._batch_event = threading.Event()
@@ -315,19 +310,24 @@ class ServeFrontend:
         if not ledger and not records:
             return
         requeued = 0
-        for gw_id in sorted(ledger):
-            record = ledger[gw_id]
-            if record.get("status") not in TERMINAL:
-                if record.get("status") != "accepted":
-                    requeued += 1
-                record["status"] = "accepted"
-                record["shard"] = None
-                record["shard_job_id"] = None
-                self._pending.append(gw_id)
-            key = record.get("submit_key")
-            if key:
-                self._submit_keys[key] = gw_id
-        self.ledger = ledger
+        with self._lock:
+            for gw_id in sorted(ledger):
+                record = ledger[gw_id]
+                self.ledger.add(gw_id, record, record.get("submit_key") or None)
+                if record.get("status") not in TERMINAL:
+                    if record.get("status") != "accepted":
+                        requeued += 1
+                    record["status"] = "accepted"
+                    record["shard"] = None
+                    record["shard_job_id"] = None
+                    self._pending.append(gw_id)
+            # In finish order, so that the cap keeps the newest.
+            for at, gw_id in sorted(
+                (record.get("terminal_at") or record["accepted_at"], gw_id)
+                for gw_id, record in ledger.items()
+                if record.get("status") in TERMINAL
+            ):
+                self.stats["evicted_terminal"] += self.ledger.finish(gw_id, at)
         self.stats["recovered"] = len(ledger)
         self.stats["recovered_requeued"] = requeued
         self._batch_event.set()
@@ -390,33 +390,20 @@ class ServeFrontend:
                 self.stats["wal_append_failures"] += 1
 
     def _maintain_ledger(self) -> None:
-        """Evict expired terminal records; compact the WAL when due.
+        """Apply the retention age limit; compact the WAL when due.
 
-        Terminal records are kept ``terminal_retention_s`` (so clients
-        can still poll a finished job) and capped at
-        ``terminal_retention_max``; eviction and every
-        ``wal_compact_every`` appends trigger a checkpoint + truncate,
-        which is what keeps both the ledger and the log bounded under
-        sustained traffic.
+        Terminal records are kept ``TERMINAL_RETENTION_S`` (so clients
+        can still poll a finished job), and a finish past
+        ``TERMINAL_RETENTION_MAX`` evicts the oldest. An eviction here
+        and every ``_WAL_COMPACT_EVERY`` appends trigger a checkpoint +
+        truncate, which is what keeps the log bounded under sustained
+        traffic.
         """
         with self._lock:
-            expired_ids = retention_evicts(
-                (
-                    (r["id"], r["status"], r.get("terminal_at") or r["accepted_at"])
-                    for r in self.ledger.values()
-                ),
-                now=time.time(),
-                retention_s=self.terminal_retention_s,
-                retention_max=self.terminal_retention_max,
-            )
-            for gw_id in expired_ids:
-                record = self.ledger.pop(gw_id)
-                if record.get("submit_key"):
-                    self._submit_keys.pop(record["submit_key"], None)
-            evicted = len(expired_ids)
+            evicted = self.ledger.evict(time.time())
             self.stats["evicted_terminal"] += evicted
         if self.wal is not None and (
-            evicted or self.wal.records_since_checkpoint >= self.wal_compact_every
+            evicted or self.wal.records_since_checkpoint >= _WAL_COMPACT_EVERY
         ):
             try:
                 # Snapshot and truncate under the accept gate: an accept
@@ -437,7 +424,7 @@ class ServeFrontend:
 
         Caller holds ``self._lock``.
         """
-        prior = find_submitted(self._submit_keys, self.ledger, submit_key)
+        prior = self.ledger.find(submit_key)
         if prior is None:
             return None
         self.stats["deduped"] += 1
@@ -472,10 +459,7 @@ class ServeFrontend:
                 "id": gw_id,
                 "workload": probe.workload,
                 "profiler": probe.profiler,
-                # The routing key, normalized exactly like the daemon's
-                # index entry so the job lands on the shard its profile
-                # belongs to.
-                "config_hash": _probe_config_hash(probe),
+                "config_hash": probe.config_hash,
                 "status": "accepted",
                 "shard": None,
                 "shard_job_id": None,
@@ -497,9 +481,7 @@ class ServeFrontend:
                         self.stats["wal_append_failures"] += 1
                     raise ServeError(f"job not accepted: {exc}") from None
             with self._lock:
-                self.ledger[gw_id] = record
-                if submit_key is not None:
-                    self._submit_keys[submit_key] = gw_id
+                self.ledger.add(gw_id, record, submit_key)
                 self._pending.append(gw_id)
                 self.stats["accepted"] += 1
         self._batch_event.set()
@@ -532,8 +514,8 @@ class ServeFrontend:
                 "size": ledger_size,
                 "terminal": terminal,
                 "evicted_terminal": stats["evicted_terminal"],
-                "retention_s": self.terminal_retention_s,
-                "retention_max": self.terminal_retention_max,
+                "retention_s": TERMINAL_RETENTION_S,
+                "retention_max": TERMINAL_RETENTION_MAX,
             },
             "wal": self.wal.stats_dict() if self.wal is not None else None,
             "epoch": self.router.epoch,
@@ -758,6 +740,9 @@ class ServeFrontend:
                     # The payload will never be re-dispatched again;
                     # dropping it bounds per-record memory.
                     record["payload"] = None
+                    self.stats["evicted_terminal"] += self.ledger.finish(
+                        record["id"], record["terminal_at"]
+                    )
                     transitions.append(
                         {
                             "op": "terminal",
@@ -1016,8 +1001,8 @@ class ServeFrontend:
         """A client for ``shard``; a long-poll adds its ``wait_s``."""
         return ServeClient(
             self.router.url(shard),
-            timeout=self.shard_timeout_s + wait_s,
-            connect_timeout_s=min(5.0, self.shard_timeout_s),
+            timeout=_SHARD_TIMEOUT_S + wait_s,
+            connect_timeout_s=min(5.0, _SHARD_TIMEOUT_S),
         )
 
     def _routed_read(self, endpoint: str, query: Dict) -> Dict:
@@ -1030,7 +1015,7 @@ class ServeFrontend:
         workload = query.get("workload")
         if not workload:
             raise ServeError(f"gateway {endpoint} needs ?workload=…")
-        path = f"/{endpoint}?" + "&".join(f"{k}={v}" for k, v in query.items())
+        path = query_path(f"/{endpoint}", query)
         shard, degraded = self.router.route(workload, query.get("config_hash", ""))
         try:
             payload = self._client(shard)._request(path)
@@ -1054,13 +1039,12 @@ class ServeFrontend:
 
     def _list_profiles(self, query: Dict) -> Dict:
         """Fan-out listing over the live shards, deduplicated by content id."""
-        qs = "&".join(f"{k}={v}" for k, v in query.items())
         profiles: List[Dict] = []
         seen: set = set()
         degraded = bool(self.router.down_shards())
         for shard in self.router.live_shards():
             try:
-                page = self._client(shard)._request(f"/profiles{'?' + qs if qs else ''}")
+                page = self._client(shard)._request(query_path("/profiles", query))
             except ServeError:
                 self._shard_trouble(shard, reason="profiles fan-out failed")
                 degraded = True
@@ -1136,17 +1120,3 @@ def _public(record: Dict) -> Dict:
     return {
         k: v for k, v in record.items() if k not in ("payload", "dispatched_mono")
     }
-
-
-def _probe_config_hash(probe) -> str:
-    """The routing config hash of a validated submission.
-
-    Mirrors how the daemon keys stored profiles
-    (``config_hash({mode, scale, overrides})``) so a job routes to the
-    same shard its profile will be indexed under.
-    """
-    from repro.serve.store import config_hash
-
-    return config_hash(
-        {"mode": probe.mode, "scale": probe.scale, "overrides": probe.config or {}}
-    )

@@ -1,6 +1,10 @@
 """Profiling jobs: the unit of work the daemon's worker pool executes.
 
-A job is ``workload + profiler + config``. :func:`execute_job` is the
+A job is ``workload + profiler + config``; :attr:`Job.config_hash` is the
+config half of the key that routes it and indexes its profile.
+:class:`JobTable` is where both serve roles keep their job records (the
+shard its :class:`Job` records, the gateway its ledger dicts): one submit-key
+map and one finish log under one retention rule. :func:`execute_job` is the
 worker-side entry point — a module-level function taking and returning
 only picklable primitives, so it crosses the multiprocessing boundary:
 the payload dict goes in, the finished profile's JSON text comes back,
@@ -19,12 +23,15 @@ import dataclasses
 import itertools
 import threading
 import time
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import ScaleneConfig
 from repro.core.profile_data import FunctionReport, LineReport, ProfileData
 from repro.errors import ServeError
+from repro.serve.store import config_hash
 
 #: Job states that never change again, on a shard and on the gateway.
 TERMINAL = ("done", "error")
@@ -65,6 +72,14 @@ class Job:
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
+    @property
+    def config_hash(self) -> str:
+        """The config half of the routing key: the hash the store indexes
+        the job's profile under, so the job routes to its profile's shard."""
+        return config_hash(
+            {"mode": self.mode, "scale": self.scale, "overrides": self.config or {}}
+        )
+
     def payload(self) -> Dict:
         """The picklable worker input."""
         return {
@@ -93,23 +108,6 @@ def pop_submit_key(payload: Dict) -> Tuple[Dict, Optional[str]]:
     return payload, submit_key
 
 
-def find_submitted(submit_keys: Dict[str, str], records: Dict, submit_key):
-    """The record ``submit_key`` named before, or ``None`` if it is new.
-
-    The caller holds the lock guarding both maps, and asks again under
-    it right before inserting: two racing submissions with one key must
-    not both miss. A key whose record is gone is dropped as new; no key
-    (``None``) is always new.
-    """
-    record_id = submit_keys.get(submit_key)
-    if record_id is None:
-        return None
-    record = records.get(record_id)
-    if record is None:
-        del submit_keys[submit_key]
-    return record
-
-
 #: Terminal-record retention, the same on both roles: a record leaves
 #: the shard's job table or the gateway's ledger this long after it
 #: finished, or sooner once this many newer terminal records are kept.
@@ -117,32 +115,93 @@ TERMINAL_RETENTION_S = 3600.0
 TERMINAL_RETENTION_MAX = 10000
 
 
-def retention_evicts(
-    records: Iterable[Tuple[str, str, float]],
-    *,
-    now: float,
-    retention_s: float,
-    retention_max: int,
-) -> Set[str]:
-    """The ids that terminal-record retention evicts from a ledger.
+class JobTable(Mapping):
+    """One serve role's job records by id, their submit keys, one finish log.
 
-    ``records`` are ``(id, status, finished_at)``. Only terminal records
-    are candidates: first every one finished more than ``retention_s``
-    ago, then the oldest of the rest past ``retention_max``. A queued or
-    running record is never evicted, however full the table. A shard
-    applies the same rule to its change log, which already lists its
-    terminal jobs oldest first (``ProfileDaemon._retain_locked``).
+    The shard keeps its :class:`Job` records here, the gateway its ledger
+    dicts. :meth:`finish` numbers each finish (the shard's change cursor)
+    and wakes the waiters on :attr:`changed`. The log is in finish order,
+    so retention evicts at its head, O(1) per eviction, at each finish and
+    monitor tick (:meth:`evict`): records finished more than
+    ``TERMINAL_RETENTION_S`` ago, then the oldest past
+    ``TERMINAL_RETENTION_MAX``, never a queued or running one. A record's
+    submit key leaves with it, and :attr:`floor` rises to its change, so a
+    cursor below the floor knows it missed one.
+
+    The caller holds ``lock``, the role's own lock, across every call:
+    :attr:`changed` is a condition on it, and a :meth:`find` and the
+    :meth:`add` it guards must be one critical section.
     """
-    terminal = [(rid, at) for rid, status, at in records if status in TERMINAL]
-    evicted = {rid for rid, at in terminal if now - at > retention_s}
-    overflow = len(terminal) - len(evicted) - retention_max
-    if overflow > 0:
-        survivors = sorted(
-            ((rid, at) for rid, at in terminal if rid not in evicted),
-            key=lambda pair: pair[1],
+
+    def __init__(self, lock) -> None:
+        self.changed = threading.Condition(lock)
+        self._records: Dict[str, Any] = {}
+        #: submit key -> record id, and back for eviction.
+        self._keys: Dict[str, str] = {}
+        self._key_of: Dict[str, str] = {}
+        #: ``(change, record id, finished at)``, oldest first.
+        self._log: "deque[Tuple[int, str, float]]" = deque()
+        #: The last change number given out, and the last one evicted.
+        self.seq = 0
+        self.floor = 0
+
+    def __getitem__(self, record_id: str):
+        return self._records[record_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def values(self):
+        return self._records.values()
+
+    def find(self, submit_key: Optional[str]):
+        """The record ``submit_key`` named, or ``None`` if it is new."""
+        record_id = self._keys.get(submit_key)
+        return None if record_id is None else self._records[record_id]
+
+    def add(self, record_id: str, record, submit_key: Optional[str] = None) -> None:
+        self._records[record_id] = record
+        if submit_key is not None:
+            self._keys[submit_key] = record_id
+            self._key_of[record_id] = submit_key
+
+    def finish(self, record_id: str, at: float) -> int:
+        """Log that ``record_id`` finished at wall-clock ``at``, then apply
+        retention as of ``at``; returns the number evicted."""
+        self.seq += 1
+        self._log.append((self.seq, record_id, at))
+        self.changed.notify_all()
+        return self.evict(at)
+
+    def finished_since(self, since: int) -> Optional[List]:
+        """The records finished after change ``since``, oldest first, or
+        ``None`` when ``since`` is outside ``[floor, seq]``."""
+        if not self.floor <= since <= self.seq:
+            return None
+        fresh = itertools.takewhile(
+            lambda change: change[0] > since, reversed(self._log)
         )
-        evicted.update(rid for rid, _ in survivors[:overflow])
-    return evicted
+        return [self._records[record_id] for _, record_id, _ in fresh][::-1]
+
+    def evict(self, now: float) -> int:
+        """Apply terminal-record retention as of ``now``; returns the count."""
+        evicted = 0
+        while self._log:
+            seq, record_id, at = self._log[0]
+            if (
+                len(self._log) <= TERMINAL_RETENTION_MAX
+                and now - at <= TERMINAL_RETENTION_S
+            ):
+                break
+            self._log.popleft()
+            del self._records[record_id]
+            self._keys.pop(self._key_of.pop(record_id, None), None)
+            self.floor = seq
+            evicted += 1
+        return evicted
 
 
 def new_job(payload: Dict) -> Job:

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import ServeError
 from repro.serve.daemon import ProfileDaemon
-from repro.serve.healing import CircuitBreaker, RetryPolicy
 from repro.serve.router import ShardRouter
 from repro.serve.store import ProfileStore
 
@@ -48,20 +47,12 @@ class ShardPlane:
         *,
         shards: int = 3,
         workers: int = 1,
-        job_timeout_s: float = 120.0,
-        retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 5,
-        vnodes: int = 64,
     ) -> None:
         if shards < 1:
             raise ServeError(f"a shard plane needs >= 1 shard, got {shards}")
         self.root = Path(root)
         self.shard_count = shards
         self.workers = workers
-        self.job_timeout_s = job_timeout_s
-        self.retry = retry
-        self.breaker_threshold = breaker_threshold
-        self.vnodes = vnodes
         self.daemons: Dict[str, ProfileDaemon] = {}
         self.router: Optional[ShardRouter] = None
         self._started = False
@@ -76,9 +67,7 @@ class ShardPlane:
         names = [shard_name(i) for i in range(self.shard_count)]
         for name in names:
             self.daemons[name] = self._boot(name)
-        self.router = ShardRouter(
-            {name: self.daemons[name].url for name in names}, vnodes=self.vnodes
-        )
+        self.router = ShardRouter({name: self.daemons[name].url for name in names})
         for daemon in self.daemons.values():
             daemon.router = self.router
         return self.router
@@ -87,10 +76,6 @@ class ShardPlane:
         daemon = ProfileDaemon(
             ProfileStore(self.root / name),
             workers=self.workers,
-            port=0,
-            job_timeout_s=self.job_timeout_s,
-            retry=self.retry if self.retry is not None else RetryPolicy(),
-            breaker=CircuitBreaker(self.breaker_threshold),
             shard_name=name,
             router=self.router,  # None during initial boot; set in start()
         )
@@ -173,17 +158,7 @@ class ShardPlane:
         old = self._daemon(name)
         if old._started:
             raise ServeError(f"shard {name} is still running; kill it first")
-        daemon = ProfileDaemon(
-            ProfileStore(self.root / name),
-            workers=self.workers,
-            port=0,
-            job_timeout_s=self.job_timeout_s,
-            retry=self.retry if self.retry is not None else RetryPolicy(),
-            breaker=CircuitBreaker(self.breaker_threshold),
-            shard_name=name,
-            router=self.router,
-        )
-        daemon.start()
+        daemon = self._boot(name)
         self.daemons[name] = daemon
         if self.router is not None:
             self.router.urls[name] = daemon.url

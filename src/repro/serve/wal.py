@@ -29,8 +29,8 @@ Durability model — two tiers:
   unbuffered), so a SIGKILL'd gateway loses nothing. This is the
   contract the chaos suite kills processes against.
 * **Power loss**: fsync is *group-committed* on a background flusher
-  thread — one fsync per ``sync_interval_s`` while appends are dirty,
-  pulled forward when ``sync_every`` appends accumulate. Keeping fsync
+  thread — one fsync per ``SYNC_INTERVAL_S`` while appends are dirty,
+  pulled forward when ``SYNC_EVERY`` appends accumulate. Keeping fsync
   off the append path matters more than its raw cost: an inline fsync
   holds the log lock while every other accepting thread (and, on a
   saturated core, the GIL convoy) piles up behind it. ``sync=True``
@@ -61,9 +61,9 @@ from repro.errors import StoreError
 #: adversary here is a half-written line, not a forger).
 _CHECKSUM_HEX = 8
 
-#: Group-commit defaults: sync at least every 64 appends or 50 ms.
-DEFAULT_SYNC_EVERY = 64
-DEFAULT_SYNC_INTERVAL_S = 0.05
+#: Group commit: sync at least every 64 appends or 50 ms.
+SYNC_EVERY = 64
+SYNC_INTERVAL_S = 0.05
 
 
 def _frame(record: Dict) -> bytes:
@@ -104,16 +104,15 @@ class WriteAheadLog:
         root: Union[str, Path],
         *,
         faults=None,
-        sync_every: int = DEFAULT_SYNC_EVERY,
-        sync_interval_s: float = DEFAULT_SYNC_INTERVAL_S,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.log_path = self.root / "wal.log"
         self.checkpoint_path = self.root / "checkpoint.json"
         self.faults = faults
-        self.sync_every = max(1, sync_every)
-        self.sync_interval_s = sync_interval_s
+        # Read once, so a log keeps its commit cadence for its lifetime.
+        self._sync_every = SYNC_EVERY
+        self._sync_interval_s = SYNC_INTERVAL_S
         self._lock = threading.Lock()
         # Unbuffered: bytes reach the OS page cache inside append(), so
         # the record survives SIGKILL without waiting for a flush.
@@ -182,7 +181,7 @@ class WriteAheadLog:
             self._unsynced += 1
             if sync:
                 self._sync_locked(time.monotonic())
-            elif self._unsynced >= self.sync_every:
+            elif self._unsynced >= self._sync_every:
                 # Pull the group commit forward — but off this thread.
                 self._sync_wake.set()
             return self.stats["appends"]
@@ -202,7 +201,7 @@ class WriteAheadLog:
     def _flush_loop(self) -> None:
         """The group-commit flusher: one fsync per interval while dirty."""
         while True:
-            self._sync_wake.wait(timeout=self.sync_interval_s)
+            self._sync_wake.wait(timeout=self._sync_interval_s)
             self._sync_wake.clear()
             with self._lock:
                 if self._closing or self._fh.closed:

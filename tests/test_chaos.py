@@ -166,6 +166,7 @@ def test_gateway_kill_loses_no_accepted_jobs(gateway_chaos_report):
     # Every 202 survived the kill -9: the recovered ledger lists all six
     # accepted jobs and re-dispatch drives each to done exactly once.
     assert gateway_chaos_report.submitted == 6
+    assert gateway_chaos_report.done_before_kill < 6  # work was in flight
     assert gateway_chaos_report.recovered == 6
     assert gateway_chaos_report.done == 6
     assert gateway_chaos_report.unique_profiles == 6  # no duplicate stores

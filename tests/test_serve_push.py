@@ -18,8 +18,8 @@ import time
 import pytest
 
 from repro.serve import ProfileDaemon, ServeClient, ServeFrontend, ShardPlane
-from repro.serve import daemon as daemon_module
 from repro.serve import httpapi
+from repro.serve import jobs as jobs_module
 from repro.serve.jobs import TERMINAL, new_job
 
 PAYLOAD = {"workload": "pprint", "mode": "cpu", "scale": 0.05}
@@ -36,7 +36,7 @@ def _finish(client, scale=0.05):
 
 @pytest.fixture()
 def daemon(tmp_path, monkeypatch):
-    monkeypatch.setattr(daemon_module, "TERMINAL_RETENTION_MAX", 2)
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 2)
     daemon = ProfileDaemon(tmp_path / "store", workers=1)
     daemon.start()
     yield daemon
@@ -90,7 +90,7 @@ def test_cursor_answers_full_for_another_boot_or_a_trimmed_log(daemon):
 def test_each_finish_past_the_cap_evicts_only_the_oldest_terminal_job(
     tmp_path, monkeypatch
 ):
-    monkeypatch.setattr(daemon_module, "TERMINAL_RETENTION_MAX", 2)
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 2)
     daemon = ProfileDaemon(tmp_path / "store", workers=1)
     running, queued = daemon.submit(dict(PAYLOAD)), daemon.submit(dict(PAYLOAD))
     finished = [daemon.submit({**PAYLOAD, "submit_key": f"k{i}"}) for i in range(5)]
@@ -103,8 +103,9 @@ def test_each_finish_past_the_cap_evicts_only_the_oldest_terminal_job(
             assert [job.id for job in daemon.jobs()] == [
                 running.id, queued.id, *kept, *unfinished
             ]
-            assert [job_id for _, job_id in daemon._changes] == kept
-            assert daemon._changes_floor == max(0, n - 2)
+            floor = daemon._jobs.floor
+            assert [job.id for job in daemon._jobs.finished_since(floor)] == kept
+            assert floor == max(0, n - 2)
     # Evicted jobs' keys name no job, so they are new again.
     again = daemon.submit({**PAYLOAD, "submit_key": "k0"})
     assert again.id not in {job.id for job in finished}
@@ -115,18 +116,19 @@ def test_shard_table_evicts_terminal_jobs_past_the_age_limit(tmp_path, monkeypat
     daemon = ProfileDaemon(tmp_path / "store", workers=1)
     running = daemon.submit(dict(PAYLOAD))
     finished = [daemon.submit(dict(PAYLOAD)) for _ in range(3)]
+    wall = time.time
     with daemon._lock:
         running.status = "running"
-        for job in finished:
+        for job, age in zip(finished, (120.0, 60.0, 0.0)):
+            monkeypatch.setattr(time, "time", lambda age=age: wall() - age)
             daemon._finish_locked(job, "done", profile_id="p")
-        finished[0].finished_at -= 120.0
-        finished[1].finished_at -= 60.0
-        monkeypatch.setattr(daemon_module, "TERMINAL_RETENTION_S", 90.0)
-        daemon._retain_locked()  # what the monitor thread runs each tick
+        monkeypatch.setattr(time, "time", wall)
+        monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_S", 90.0)
+        daemon._jobs.evict(time.time())  # what the monitor thread runs each tick
     assert [job.id for job in daemon.jobs()] == [running.id] + [
         job.id for job in finished[1:]
     ]
-    assert daemon._changes_floor == 1
+    assert daemon._jobs.floor == 1
 
 
 # -- the gateway's watchers --------------------------------------------
@@ -280,7 +282,7 @@ def test_status_traffic_per_job_ignores_the_shard_history(push_plane, monkeypatc
     with daemon._lock:
         for _ in range(300):
             job = new_job(dict(PAYLOAD))
-            daemon._jobs[job.id] = job
+            daemon._jobs.add(job.id, job)
             daemon._finish_locked(job, "done", profile_id="0" * 64)
     assert len(daemon.jobs()) > 300
     loaded = bytes_per_job()

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.profile_data import ProfileData
 from repro.errors import ServeError
+from repro.serve import frontend as frontend_module
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ProfileDaemon
 from repro.serve.frontend import ServeFrontend
@@ -402,6 +403,27 @@ def test_gateway_accepts_batches_and_completes_jobs(gateway_plane):
     assert sorted(health["shards"]["live"]) == sorted(plane.daemons)
 
 
+def test_gateway_forwards_query_values_url_encoded(gateway_plane):
+    # Values a URL must escape (a space, a '#') reach the shard intact,
+    # so the gateway answers what the shard answers.
+    plane, client = gateway_plane
+    shard_url = plane.daemons[plane.router.route("a b", "")[0]].url
+    for path in ("/profiles?workload=a%20b", "/trend?workload=a%20b"):
+        status, answer = _send(client.url, "GET", path)
+        assert status == 200, (path, answer)
+        _, direct = _send(shard_url, "GET", path)
+        key = "profiles" if path.startswith("/profiles") else "trend"
+        assert answer[key] == direct[key] == []
+    # A '#' cut short would drop "exact=1" and answer from the sketch.
+    status, answer = _send(
+        client.url, "GET", "/trend?workload=pprint&config_hash=x%23y&exact=1"
+    )
+    assert status == 200 and answer["source"] == "exact", answer
+    # The client encodes its filters too.
+    assert client.profiles_page(workload="a b")["profiles"] == []
+    assert client.trend(workload="a b", config_hash="x#y", exact=1)["trend"] == []
+
+
 def test_gateway_rejects_malformed_submissions(gateway_plane):
     _, client = gateway_plane
     with pytest.raises(ServeError):
@@ -457,9 +479,10 @@ def test_both_roles_answer_errors_alike(request, role):
         assert "error" in payload, (method, path, payload)
 
 
-def test_gateway_answers_shard_failure_502_and_busy_reshard_409():
+def test_gateway_answers_shard_failure_502_and_busy_reshard_409(monkeypatch):
+    monkeypatch.setattr(frontend_module, "_SHARD_TIMEOUT_S", 2.0)
     router = ShardRouter({"s0": "http://127.0.0.1:9"})  # nothing listens there
-    gateway = ServeFrontend(router, shard_timeout_s=2.0)
+    gateway = ServeFrontend(router)
     gateway.plane = object()  # resharding needs a plane; the 409 comes first
     gateway._reshard = {"action": "add", "state": "migrating"}
     gateway.start()

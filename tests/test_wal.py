@@ -10,8 +10,10 @@ at a time:
   log, requeues every non-terminal job, never recycles gw ids, and
   restores client idempotency keys;
 * ledger hygiene — terminal records age out of memory (retention window
-  and hard cap) and eviction folds into a WAL checkpoint;
-* submit-key dedupe at both tiers (gateway ledger and single daemon);
+  and hard cap, at the head of the job table's finish log) and eviction
+  folds into a WAL checkpoint;
+* submit-key dedupe at both tiers (gateway ledger and single daemon),
+  and a key leaving with its evicted record;
 * ring epochs — begin/finalize/abort, old-or-new read owners, dual-ring
   replication targets, and decommission bookkeeping.
 
@@ -27,6 +29,9 @@ import pytest
 
 from repro.errors import ServeError, StoreError
 from repro.faults import FaultInjector, FaultSpec
+from repro.serve import frontend as frontend_module
+from repro.serve import jobs as jobs_module
+from repro.serve import wal as wal_module
 from repro.serve.daemon import ProfileDaemon
 from repro.serve.frontend import ServeFrontend
 from repro.serve.router import ShardRouter, shard_key
@@ -121,10 +126,12 @@ def test_closed_wal_refuses_appends(tmp_path):
         wal.append({"n": 0})
 
 
-def test_abandon_keeps_page_cache_appends(tmp_path):
+def test_abandon_keeps_page_cache_appends(tmp_path, monkeypatch):
     # abandon() models kill -9: no fsync, but the unbuffered write
     # already reached the OS, so a reopened log replays it.
-    wal = WriteAheadLog(tmp_path, sync_every=10_000, sync_interval_s=3600.0)
+    monkeypatch.setattr(wal_module, "SYNC_EVERY", 10_000)
+    monkeypatch.setattr(wal_module, "SYNC_INTERVAL_S", 3600.0)
+    wal = WriteAheadLog(tmp_path)
     wal.append({"n": 0})
     wal.abandon()
     assert WriteAheadLog(tmp_path).replay() == [{"n": 0}]
@@ -200,7 +207,7 @@ def test_recovery_requeues_every_non_terminal_job(frontend_factory, tmp_path):
     assert frontend.ledger["gw-00000003"]["status"] == "done"
     assert frontend.ledger["gw-00000003"]["profile_id"] == "p3"
     assert sorted(frontend._pending) == ["gw-00000001", "gw-00000002"]
-    assert frontend._submit_keys == {"k1": "gw-00000001"}
+    assert frontend.ledger.find("k1")["id"] == "gw-00000001"
     assert frontend.stats["recovered"] == 3
     assert frontend.stats["recovered_requeued"] == 1  # only the dispatched one
     assert frontend._gw_next == 4  # ids never recycle
@@ -247,13 +254,16 @@ def test_recovery_restores_gw_sequence_after_full_compaction(
     assert frontend._gw_next == 42
 
 
-def test_concurrent_accepts_survive_checkpoints(frontend_factory, tmp_path):
+def test_concurrent_accepts_survive_checkpoints(
+    frontend_factory, tmp_path, monkeypatch
+):
     # Accept appends the WAL record and inserts into the ledger in one
     # critical section, and checkpoint snapshots + truncates under the
     # same lock — so a compaction racing a burst of accepts can never
     # truncate an accept the snapshot missed. Model the crash with
     # abandon() (no fsync) and assert recovery sees every 202'd job.
-    frontend = frontend_factory(wal_compact_every=1)
+    monkeypatch.setattr(frontend_module, "_WAL_COMPACT_EVERY", 1)
+    frontend = frontend_factory()
     body = json.dumps(
         {"workload": "pprint", "mode": "cpu", "scale": 0.05}
     ).encode("utf-8")
@@ -290,33 +300,122 @@ def test_concurrent_accepts_survive_checkpoints(frontend_factory, tmp_path):
     assert recovered._gw_next > max(int(gw.split("-")[1]) for gw in accepted)
 
 
-def test_terminal_eviction_respects_retention_and_compacts(frontend_factory):
-    frontend = frontend_factory(terminal_retention_s=0.0)
+def _accept(frontend, submit_key=None):
+    """Accept a pprint job on an unstarted gateway; returns its gw id."""
+    payload = {"workload": "pprint", "mode": "cpu", "scale": 0.05}
+    if submit_key is not None:
+        payload["submit_key"] = submit_key
+    return frontend._accept_job(json.dumps(payload).encode("utf-8"))["id"]
+
+
+def _finish(frontend, gw_id, shard="s0"):
+    """Dispatch a record to ``shard`` and apply the shard's report that
+    the job is done, as the shard's watcher would."""
+    shard_job_id = f"job-{gw_id}"
+    frontend._record_dispatch(shard, gw_id, shard_job_id)
+    done = {"id": shard_job_id, "status": "done", "profile_id": "p", "error": None}
+    frontend._apply_changes(
+        shard, {"full": False, "jobs": [done]}, time.monotonic()
+    )
+
+
+def test_terminal_eviction_respects_retention_and_compacts(
+    frontend_factory, monkeypatch
+):
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_S", 0.0)
+    frontend = frontend_factory()
     old = _accept_op("gw-00000001")["record"]
     old.update(status="done", terminal_at=time.time() - 10.0,
                payload=None, submit_key="k1")
     live = _accept_op("gw-00000002")["record"]
-    frontend.ledger = {"gw-00000001": old, "gw-00000002": live}
-    frontend._submit_keys = {"k1": "gw-00000001"}
+    with frontend._lock:
+        frontend.ledger.add("gw-00000001", old, "k1")
+        frontend.ledger.add("gw-00000002", live)
+        frontend.ledger.finish("gw-00000001", old["terminal_at"])
     frontend._maintain_ledger()
     assert list(frontend.ledger) == ["gw-00000002"]  # accepted never evicted
-    assert frontend._submit_keys == {}
+    assert frontend.ledger.find("k1") is None
     assert frontend.stats["evicted_terminal"] == 1
     assert frontend.wal.stats["compactions"] >= 1  # eviction checkpoints
 
 
-def test_terminal_cap_evicts_oldest_first(frontend_factory):
-    frontend = frontend_factory(
-        terminal_retention_s=3600.0, terminal_retention_max=2
-    )
-    for i in range(1, 5):
-        record = _accept_op(f"gw-0000000{i}")["record"]
-        record.update(status="done", terminal_at=time.time() - (10 - i),
-                      payload=None)
-        frontend.ledger[record["id"]] = record
-    frontend._maintain_ledger()
+def test_terminal_cap_evicts_oldest_first(frontend_factory, monkeypatch):
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 2)
+    frontend = frontend_factory()
+    for _ in range(4):
+        _finish(frontend, _accept(frontend))
     assert sorted(frontend.ledger) == ["gw-00000003", "gw-00000004"]
     assert frontend.stats["evicted_terminal"] == 2
+
+
+def test_gateway_evicts_at_the_log_head_by_age_and_by_count(
+    frontend_factory, monkeypatch
+):
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 3)
+    frontend = frontend_factory()
+    live = _accept(frontend)
+    ids = [_accept(frontend) for _ in range(4)]
+    # Finish order, oldest first, is not id order: the log's is the one
+    # retention goes by.
+    finished = [ids[2], ids[0], ids[3], ids[1]]
+    wall = time.time
+    for gw_id, age in zip(finished, (300.0, 200.0, 100.0, 0.0)):
+        monkeypatch.setattr(time, "time", lambda age=age: wall() - age)
+        _finish(frontend, gw_id)
+    monkeypatch.setattr(time, "time", wall)
+    # By count: the fourth finish evicted the oldest one.
+    assert sorted(frontend.ledger) == sorted([live] + finished[1:])
+    assert frontend.stats["evicted_terminal"] == 1
+    # By age, on the poll thread's tick: finished more than 150 s ago.
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_S", 150.0)
+    frontend._maintain_ledger()
+    assert sorted(frontend.ledger) == sorted([live] + finished[2:])
+    assert frontend.stats["evicted_terminal"] == 2
+    assert frontend.ledger[live]["status"] == "accepted"
+
+
+def test_gateway_submit_key_leaves_with_its_evicted_record(
+    frontend_factory, monkeypatch
+):
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 1)
+    frontend = frontend_factory()
+    first = _accept(frontend, submit_key="k1")
+    _finish(frontend, first)
+    second = _accept(frontend, submit_key="k2")
+    _finish(frontend, second)  # evicts the first record past the cap
+    assert list(frontend.ledger) == [second]
+    assert frontend.ledger.find("k1") is None
+    again = _accept(frontend, submit_key="k1")
+    assert again not in (first, second)  # new again, not deduped
+    assert _accept(frontend, submit_key="k2") == second
+    assert frontend.stats["deduped"] == 1
+
+
+def test_recovered_gateway_keeps_the_newest_terminal_records(
+    frontend_factory, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 2)
+    wal = WriteAheadLog(tmp_path / "wal")
+    now = time.time()
+    # More terminal records than the cap, finished out of id order.
+    ages = {"gw-00000001": 10.0, "gw-00000002": 50.0, "gw-00000003": 20.0,
+            "gw-00000004": 40.0, "gw-00000005": 30.0}
+    for gw_id, age in ages.items():
+        wal.append(_accept_op(gw_id, submit_key=f"k-{gw_id}"))
+        wal.append({"op": "terminal", "id": gw_id, "status": "done",
+                    "profile_id": f"p-{gw_id}", "error": None, "at": now - age})
+    wal.append(_accept_op("gw-00000006"))
+    wal.close()
+
+    frontend = frontend_factory()
+    frontend._recover()
+    assert sorted(frontend.ledger) == ["gw-00000001", "gw-00000003", "gw-00000006"]
+    assert frontend.stats["recovered"] == 6
+    assert frontend.stats["evicted_terminal"] == 3
+    assert frontend.ledger.find("k-gw-00000002") is None
+    assert frontend.ledger.find("k-gw-00000003")["id"] == "gw-00000003"
+    assert frontend._pending == ["gw-00000006"]
+    assert frontend._gw_next == 7
 
 
 def test_daemon_dedupes_submit_keys(tmp_path):
@@ -331,37 +430,62 @@ def test_daemon_dedupes_submit_keys(tmp_path):
     assert len(daemon.jobs()) == 2  # the retry did not enqueue a double-run
 
 
-def test_daemon_submit_key_map_is_bounded(tmp_path):
-    daemon = ProfileDaemon(
-        str(tmp_path / "store"), workers=1, submit_key_retention_max=2
-    )
+def _finish_on_daemon(daemon, job):
+    with daemon._lock:
+        daemon._finish_locked(job, "done", profile_id="p")
+
+
+def test_daemon_submit_key_map_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 2)
+    daemon = ProfileDaemon(str(tmp_path / "store"), workers=1)
     payload = {"workload": "pprint", "mode": "cpu", "scale": 0.05}
-    for i in range(4):
-        job = daemon.submit({**payload, "submit_key": f"dk-{i}"})
-        job.status = "done"  # terminal: the key is now evictable
+    keys = [f"dk-{i}" for i in range(6)]
+    for key in keys[:4]:
+        # Terminal: the job, and its key with it, is now evictable.
+        _finish_on_daemon(daemon, daemon.submit({**payload, "submit_key": key}))
     # Oldest terminal keys fall off at the cap; the newest survive.
-    assert sorted(daemon._submit_keys) == ["dk-2", "dk-3"]
+    assert [key for key in keys if daemon._jobs.find(key)] == ["dk-2", "dk-3"]
     # Keys for live (non-terminal) jobs are never evicted — dropping
     # one would let a retried submission double-run an in-flight job.
     live = daemon.submit({**payload, "submit_key": "dk-live"})
-    daemon.submit({**payload, "submit_key": "dk-4"}).status = "done"
-    daemon.submit({**payload, "submit_key": "dk-5"}).status = "done"
-    assert "dk-live" in daemon._submit_keys
+    for key in keys[4:]:
+        _finish_on_daemon(daemon, daemon.submit({**payload, "submit_key": key}))
+    assert daemon._jobs.find("dk-live") is live
     assert daemon.submit({**payload, "submit_key": "dk-live"}).id == live.id
 
 
-def test_daemon_dangling_submit_key_treated_as_new(tmp_path):
+def test_daemon_dangling_submit_key_treated_as_new(tmp_path, monkeypatch):
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 1)
     daemon = ProfileDaemon(str(tmp_path / "store"), workers=1)
     payload = {"workload": "pprint", "mode": "cpu", "scale": 0.05,
                "submit_key": "dk-gone"}
     first = daemon.submit(dict(payload))
-    # Prune the job record out from under its key (retention, restart):
-    # the stale mapping must not KeyError — the key is simply new again.
-    with daemon._lock:
-        del daemon._jobs[first.id]
+    # Retention prunes the job record: its key goes with it, so the key
+    # is simply new again.
+    _finish_on_daemon(daemon, first)
+    _finish_on_daemon(daemon, daemon.submit({"workload": "pprint", "mode": "cpu"}))
     fresh = daemon.submit(dict(payload))
     assert fresh.id != first.id
-    assert daemon._submit_keys["dk-gone"] == fresh.id
+    assert daemon._jobs.find("dk-gone") is fresh
+
+
+def test_daemon_submit_key_leaves_with_its_evicted_job(tmp_path, monkeypatch):
+    daemon = ProfileDaemon(str(tmp_path / "store"), workers=1)
+    payload = {"workload": "pprint", "mode": "cpu", "scale": 0.05}
+    old = daemon.submit({**payload, "submit_key": "dk-old"})
+    kept = daemon.submit({**payload, "submit_key": "dk-kept"})
+    _finish_on_daemon(daemon, old)
+    _finish_on_daemon(daemon, kept)
+    with daemon._lock:
+        daemon._jobs.evict(time.time())  # nothing is past the limits yet
+        assert daemon._jobs.find("dk-old") is old
+        monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 1)
+        assert daemon._jobs.evict(time.time()) == 1  # the monitor's tick
+    assert [job.id for job in daemon.jobs()] == [kept.id]
+    assert daemon._jobs.find("dk-old") is None
+    assert daemon._jobs.find("dk-kept") is kept
+    again = daemon.submit({**payload, "submit_key": "dk-old"})
+    assert again.id not in (old.id, kept.id) and again.status == "queued"
 
 
 # -- ring epochs ------------------------------------------------------------
