@@ -149,7 +149,6 @@ def _seed_store(root: Path, base, count: int):
     from repro.serve import ProfileStore
 
     store = ProfileStore(root)
-    store.defer_index_flush = True
     elapsed = []
     for index in range(count):
         profile = make_variant(base, index)

@@ -16,8 +16,9 @@ the self-healing contract:
   bounded invariants (:meth:`ProfileData.invariant_violations` empty);
 * the injected faults actually fired (pool breaks ≥ hard crashers,
   retries ≥ exception crashers, torn writes as scheduled);
-* deleting ``index.json`` and reopening the store rebuilds the index
-  cleanly from the blobs (same profile ids).
+* deleting ``index.json`` and ``sketches.json`` and reopening the store
+  rebuilds the index cleanly from the blobs (same profile ids), and a
+  daemon booted over it ingests every stored profile into the sketches.
 
 The same seed replays the same chaos run; ``python -m repro chaos`` and
 ``tests/test_chaos.py`` both call this function.
@@ -267,9 +268,10 @@ def run_chaos(
     finally:
         daemon.stop()
 
-    # -- crash-safe store: the index is derived state ---------------------
+    # -- crash-safe store: the index and the sketches are derived state ----
     before = sorted(entry["id"] for entry in store.entries())
     store.index_path.unlink()
+    (store.root / "sketches.json").unlink(missing_ok=True)
     reopened = ProfileStore(store_root)
     report.recovery = reopened.last_recovery  # opening the store heals it
     after = sorted(entry["id"] for entry in reopened.entries())
@@ -278,6 +280,15 @@ def run_chaos(
         report.problems.append(
             f"index rebuild lost profiles: {len(before)} before, "
             f"{len(after)} after"
+        )
+    unmerged = sum(1 for entry in reopened.entries() if not entry.get("parents"))
+    rebooted = ProfileDaemon(reopened, workers=1)
+    rebooted.start()
+    rebooted.stop()
+    if rebooted.aggregator.ingested != unmerged:
+        report.problems.append(
+            f"boot ingested {rebooted.aggregator.ingested} of {unmerged} "
+            "stored profiles into the sketches"
         )
     return report
 
@@ -412,9 +423,24 @@ class ShardChaosReport(_Report):
         return "\n".join(lines)
 
 
-#: Jobs at the end of a shard- or gateway-chaos burst that run 40x heavier
-#: than the rest.
-_HEAVY_TAIL = 2
+#: The workloads of a kill harness's heavy tail: the burst's last jobs run
+#: 40x heavier, and their work grows with scale (``balanced``'s and
+#: ``leaky``'s stays at ~3 ms), so work is still in flight at the kill.
+_HEAVY_TAIL = ("pprint", "fannkuch")
+
+
+def kill_burst(jobs: int, scale: float) -> List[Tuple[str, float]]:
+    """``(workload, scale)`` per job of a shard- or gateway-kill burst: a
+    cycle of :data:`CHAOS_WORKLOADS`, then the heavy tail. Scale steps up
+    with each repeat of a workload, so every job's profile is distinct."""
+    cycle = itertools.cycle(CHAOS_WORKLOADS)
+    burst = []
+    for i in range(jobs):
+        heavy = i >= jobs - len(_HEAVY_TAIL)
+        workload = _HEAVY_TAIL[i - jobs] if heavy else next(cycle)
+        repeat = 1.0 + 0.25 * (i // len(CHAOS_WORKLOADS))
+        burst.append((workload, scale * repeat * (40.0 if heavy else 1.0)))
+    return burst
 
 
 def run_shard_chaos(
@@ -456,10 +482,10 @@ def run_shard_chaos(
     from repro.serve.frontend import ServeFrontend
     from repro.serve.shard import ShardPlane
 
-    if jobs < kill_after + _HEAVY_TAIL:
+    if jobs < kill_after + len(_HEAVY_TAIL):
         raise ValueError(
-            f"need jobs >= kill_after + {_HEAVY_TAIL}: the heavy tail must "
-            "still be in flight at the kill"
+            f"need jobs >= kill_after + {len(_HEAVY_TAIL)}: the heavy tail "
+            "must still be in flight at the kill"
         )
     report = ShardChaosReport(seed=seed, shards=shards)
     plane = ShardPlane(root, shards=shards, workers=workers)
@@ -469,14 +495,9 @@ def run_shard_chaos(
     try:
         client = ServeClient(gateway.url)
         rng = random.Random(seed)
-        workload_cycle = itertools.cycle(CHAOS_WORKLOADS)
         accepted = [
-            client.submit(
-                next(workload_cycle),
-                mode="cpu",
-                scale=scale * (40.0 if i >= jobs - _HEAVY_TAIL else 1.0),
-            )
-            for i in range(jobs)
+            client.submit(workload, mode="cpu", scale=job_scale)
+            for workload, job_scale in kill_burst(jobs, scale)
         ]
         report.submitted = len(accepted)
 
@@ -484,7 +505,7 @@ def run_shard_chaos(
         # by the seed), so the degraded-read check below is guaranteed to
         # exercise a replica failover, not an unaffected shard. The target
         # is a light job: the kill waits for it to finish.
-        target = rng.choice(accepted[:-_HEAVY_TAIL])
+        target = rng.choice(accepted[: -len(_HEAVY_TAIL)])
         victim, _ = router.route(target["workload"], target["config_hash"])
         report.killed_shard = victim
         report.victim_key = {
@@ -651,24 +672,12 @@ def run_gateway_chaos(
     live_gateway = gateway
     try:
         client = ServeClient(gateway.url)
-        workload_cycle = itertools.cycle(CHAOS_WORKLOADS)
+        # Distinct profiles per job, so duplicated work would be visible.
         accepted = [
             client.submit(
-                # The tail of the burst is much heavier so jobs are still
-                # in flight when the gateway dies; its workloads' work grows
-                # with scale (balanced's and leaky's stays at ~3 ms).
-                CHAOS_WORKLOADS[i - jobs + _HEAVY_TAIL]
-                if i >= jobs - _HEAVY_TAIL
-                else next(workload_cycle),
-                mode="cpu",
-                # Distinct scale per repeat of a workload -> distinct
-                # profile content, so duplicated work would be visible.
-                scale=scale
-                * (1.0 + 0.25 * (i // len(CHAOS_WORKLOADS)))
-                * (40.0 if i >= jobs - _HEAVY_TAIL else 1.0),
-                submit_key=f"ck-{seed}-{i}",
+                workload, mode="cpu", scale=job_scale, submit_key=f"ck-{seed}-{i}"
             )
-            for i in range(jobs)
+            for i, (workload, job_scale) in enumerate(kill_burst(jobs, scale))
         ]
         report.submitted = len(accepted)
 

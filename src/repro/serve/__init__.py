@@ -17,7 +17,7 @@ profiles persist, merge across runs and processes, and stay queryable):
 * :mod:`repro.serve.httpapi` — the HTTP server both the daemon and the
   gateway run: a stdlib threaded server over a ``(method, path)``
   route table, with one error-to-status mapping and one pagination;
-* :mod:`repro.serve.client` — the urllib client used by
+* :mod:`repro.serve.client` — the stdlib HTTP client used by
   ``python -m repro submit`` / ``repro profiles``.
 
 The scale-out plane (``python -m repro serve --shards N``, DESIGN.md

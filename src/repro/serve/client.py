@@ -21,14 +21,12 @@ instead of surfacing a hard error.
 
 from __future__ import annotations
 
+import http.client
 import json
-import socket
 import time
-import urllib.error
-import urllib.request
 import uuid
 from typing import Dict, List, Optional, Sequence
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 from repro.core.profile_data import ProfileData
 from repro.errors import ServeError
@@ -51,6 +49,8 @@ class ServeClient:
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.url = url.rstrip("/")
+        parts = urlsplit(self.url)
+        self._host, self._port, self._prefix = parts.hostname, parts.port, parts.path
         self.timeout = timeout
         self.connect_timeout_s = (
             connect_timeout_s if connect_timeout_s is not None else timeout
@@ -63,26 +63,37 @@ class ServeClient:
 
     # -- transport ------------------------------------------------------
 
-    def _open(self, request: "urllib.request.Request") -> Dict:
-        """One HTTP round trip with split connect/read timeouts.
+    def _open(self, path: str, data: Optional[bytes]) -> Dict:
+        """One HTTP round trip on one connection, with split timeouts.
 
-        ``urllib`` exposes a single timeout covering both phases; the
-        connect bound is enforced by probing the socket first, so a dead
-        or unroutable host fails fast instead of consuming the full read
-        budget.
+        The connect is bounded by ``connect_timeout_s``, so a dead or
+        unroutable host fails fast instead of consuming the read budget;
+        the request and its answer then use that socket under ``timeout``.
         """
-        if self.connect_timeout_s < self.timeout:
-            host = request.host.rsplit(":", 1)
-            port = int(host[1]) if len(host) == 2 else 80
-            try:
-                probe = socket.create_connection(
-                    (host[0], port), timeout=self.connect_timeout_s
-                )
-                probe.close()
-            except OSError as exc:
-                raise urllib.error.URLError(exc) from None
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
+        conn = http.client.HTTPConnection(
+            self._host, self._port, timeout=self.connect_timeout_s
+        )
+        try:
+            conn.connect()
+            conn.sock.settimeout(self.timeout)
+            headers = {"Connection": "close"}
+            if data is not None:
+                headers["Content-Type"] = "application/json"
+            method = "GET" if data is None else "POST"
+            conn.request(method, self._prefix + path, data, headers)
+            response = conn.getresponse()
+            raw = response.read()
+        finally:
+            conn.close()
+        if 200 <= response.status < 300:
+            return json.loads(raw.decode("utf-8"))
+        # The daemon answered; never retry a definitive response.
+        message = f"HTTP Error {response.status}: {response.reason}"
+        try:
+            message = json.loads(raw.decode("utf-8")).get("error", message)
+        except ValueError:
+            pass
+        raise ServeError(f"{path}: {message}")
 
     def _request(
         self,
@@ -91,10 +102,7 @@ class ServeClient:
         *,
         idempotent: Optional[bool] = None,
     ) -> Dict:
-        request = urllib.request.Request(self.url + path)
-        if body is not None:
-            request.data = json.dumps(body).encode("utf-8")
-            request.add_header("Content-Type", "application/json")
+        data = None if body is None else json.dumps(body).encode("utf-8")
         if idempotent is None:
             idempotent = body is None or any(
                 path == p or path.startswith(p + "?") for p in _IDEMPOTENT_POSTS
@@ -103,24 +111,14 @@ class ServeClient:
         while True:
             attempts += 1
             try:
-                return self._open(request)
-            except urllib.error.HTTPError as exc:
-                # The daemon answered; never retry a definitive response.
-                try:
-                    message = json.loads(exc.read().decode("utf-8")).get(
-                        "error", str(exc)
-                    )
-                except ValueError:
-                    message = str(exc)
-                raise ServeError(f"{path}: {message}") from None
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                reason = getattr(exc, "reason", exc)
+                return self._open(path, data)
+            except (OSError, http.client.HTTPException) as exc:
                 if idempotent and self.retry.should_retry(attempts):
                     time.sleep(self.retry.delay(attempts))
                     continue
                 raise ServeError(
                     f"cannot reach daemon at {self.url} "
-                    f"after {attempts} attempt(s): {reason}"
+                    f"after {attempts} attempt(s): {exc}"
                 ) from None
 
     # -- endpoints ------------------------------------------------------

@@ -84,9 +84,10 @@ synchronous best-effort replication — every accepted profile is POSTed
 to the key's replica shard (``owners(key)[1]`` on the ring), where
 content addressing makes the write idempotent. Aggregation endpoints
 answer from a :class:`~repro.serve.streaming.StreamingAggregator`
-maintained on ingest and persisted as ``sketches.json`` next to the
-store, so ``/trend`` is O(window) regardless of history; a missing or
-stale sketch file is rebuilt from the store at boot.
+maintained in memory on ingest, so ``/trend`` is O(window) regardless
+of history. The monitor checkpoints it as ``sketches.json``, with the
+store's ``index.json``, at most once per ``_CHECKPOINT_S`` and at stop;
+boot ingests every stored profile that checkpoint has not seen.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ _MAX_CRASH_REQUEUES = 4
 
 #: Read timeout of one replica write to a peer shard.
 _REPLICATE_TIMEOUT_S = 10.0
+
+#: The most often the monitor writes the index and sketch checkpoints.
+_CHECKPOINT_S = 5.0
 
 
 class ProfileDaemon:
@@ -255,6 +259,7 @@ class ProfileDaemon:
             self._pool.shutdown(wait=False, cancel_futures=True)
         for thread in self._threads:
             thread.join(timeout=5)
+        self._checkpoint()
         stuck = [t.name for t in self._threads if t.is_alive()]
         if stuck:
             raise ServeError(f"daemon threads failed to stop: {stuck}")
@@ -394,24 +399,20 @@ class ProfileDaemon:
     # -- streaming aggregation + replication ------------------------------
 
     def _load_aggregator(self) -> StreamingAggregator:
-        """Resume from ``sketches.json``, else rebuild from the store.
-
-        The rebuild replays stored history once (O(history) at boot);
-        every later answer comes from the incrementally-maintained
-        sketches. An unreadable sketch file is never trusted — the store
-        is the source of truth and the sketches are derived state.
-        """
+        """Load ``sketches.json`` (an unreadable one is never trusted:
+        start empty), then ingest, oldest first, every stored unmerged
+        profile it has not seen. The store is the source of truth."""
         try:
             payload = json.loads(self._sketch_path.read_text(encoding="utf-8"))
-            return StreamingAggregator.from_dict(payload)
-        except (OSError, ValueError, ReproError):
-            pass
-        aggregator = StreamingAggregator()
+            aggregator = StreamingAggregator.from_dict(payload)
+        except (OSError, ValueError, KeyError, TypeError, ReproError):
+            aggregator = StreamingAggregator()
+        self._checkpointed = aggregator.ingested  # as in sketches.json
         entries = sorted(
             self.store.entries(), key=lambda e: (e.get("created_at", 0.0), e["id"])
         )
         for entry in entries:
-            if entry.get("parents"):
+            if entry.get("parents") or entry["id"] in aggregator:
                 continue
             try:
                 aggregator.ingest(entry, self.store.get(entry["id"]))
@@ -419,12 +420,18 @@ class ProfileDaemon:
                 continue  # quarantined/corrupt blobs don't block boot
         return aggregator
 
-    def _save_sketches_locked(self) -> None:
-        """Persist the aggregator (``_agg_lock`` held); non-fatal."""
+    def _checkpoint(self) -> None:
+        """Write the index and sketch checkpoints that have changed;
+        non-fatal (a failure is counted, and boot replays what is lost)."""
         try:
-            self.store._atomic_write(
-                self._sketch_path, json.dumps(self.aggregator.to_dict()) + "\n"
-            )
+            self.store.flush_index()
+            with self._agg_lock:
+                ingested = self.aggregator.ingested
+                if ingested == self._checkpointed:
+                    return
+                text = json.dumps(self.aggregator.to_dict()) + "\n"
+            self.store._atomic_write(self._sketch_path, text)
+            self._checkpointed = ingested
         except (OSError, StoreError):
             with self._lock:
                 self.stats["sketch_save_failures"] += 1
@@ -434,8 +441,6 @@ class ProfileDaemon:
         entry = self.store.entry(profile_id)
         with self._agg_lock:
             fresh = self.aggregator.ingest(entry, profile)
-            if fresh:
-                self._save_sketches_locked()
         if fresh:
             with self._lock:
                 self.stats["sketch_ingests"] += 1
@@ -588,11 +593,15 @@ class ProfileDaemon:
         )
         return True
 
-    # -- monitor (timeouts + due retries) -------------------------------
+    # -- monitor (timeouts, due retries, checkpoints) -------------------
 
     def _monitor_loop(self) -> None:
+        checkpoint_at = time.monotonic() + _CHECKPOINT_S
         while not self._stop_event.wait(_MONITOR_TICK_S):
             now = time.monotonic()
+            if now >= checkpoint_at:
+                self._checkpoint()
+                checkpoint_at = now + _CHECKPOINT_S
             with self._lock:
                 for job_id, due in list(self._retry_at.items()):
                     if now >= due:

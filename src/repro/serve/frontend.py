@@ -394,16 +394,15 @@ class ServeFrontend:
 
         Terminal records are kept ``TERMINAL_RETENTION_S`` (so clients
         can still poll a finished job), and a finish past
-        ``TERMINAL_RETENTION_MAX`` evicts the oldest. An eviction here
-        and every ``_WAL_COMPACT_EVERY`` appends trigger a checkpoint +
-        truncate, which is what keeps the log bounded under sustained
-        traffic.
+        ``TERMINAL_RETENTION_MAX`` evicts the oldest. Every
+        ``_WAL_COMPACT_EVERY`` appends trigger a checkpoint + truncate,
+        which is what keeps the log bounded under sustained traffic. An
+        eviction does not: recovery re-applies retention.
         """
         with self._lock:
-            evicted = self.ledger.evict(time.time())
-            self.stats["evicted_terminal"] += evicted
+            self.stats["evicted_terminal"] += self.ledger.evict(time.time())
         if self.wal is not None and (
-            evicted or self.wal.records_since_checkpoint >= _WAL_COMPACT_EVERY
+            self.wal.records_since_checkpoint >= _WAL_COMPACT_EVERY
         ):
             try:
                 # Snapshot and truncate under the accept gate: an accept

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -116,6 +117,11 @@ class JsonServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        """Report a failed request, unless the peer hung up on it."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def close(self) -> None:
         """Stop serving, release the port, and sever open connections."""

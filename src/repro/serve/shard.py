@@ -19,8 +19,9 @@ and wires them to a shared :class:`~repro.serve.router.ShardRouter`:
 The plane is also the chaos surface: :meth:`kill` stops a shard's
 daemon mid-run exactly like a process death (its HTTP socket closes,
 in-flight work is cancelled), and :meth:`revive` boots a fresh daemon
-over the same store partition — recovery replays the store into the
-streaming sketches, so a revived shard answers correctly immediately.
+over the same store partition — recovery catches the streaming
+sketches up with the store, so a revived shard answers correctly
+immediately.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ class ShardPlane:
     def revive(self, name: str) -> ProfileDaemon:
         """Boot a fresh daemon over the killed shard's store partition.
 
-        The store recovers (tmp sweep, index heal) and the streaming
-        sketches resume from ``sketches.json`` — or rebuild from the
-        store — so the shard rejoins with correct aggregates. A new
+        The store reopens (tmp sweep, ``index.json`` checkpoint plus a
+        replay of the blobs it lacks) and the streaming sketches load
+        ``sketches.json`` and ingest every stored profile it has not
+        seen, so the shard rejoins with correct aggregates. A new
         ephemeral port means the router's URL table is updated in place.
         """
         old = self._daemon(name)

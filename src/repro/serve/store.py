@@ -2,8 +2,9 @@
 
 Layout under the store root::
 
-    objects/<id[:2]>/<id>.json    one canonical-JSON envelope per profile
-    index.json                    metadata for every stored profile
+    objects/<id[:2]>/<id>.json       one canonical-JSON envelope per profile
+    objects/<id[:2]>/<id>.meta.json  its index entry (the sidecar)
+    index.json                       checkpoint of every index entry
 
 Every object is an envelope ``{"store_format": 1, "profile": <payload>}``
 serialized as *canonical JSON* (sorted keys, minimal separators); the
@@ -24,14 +25,13 @@ Writes are atomic (temp file + ``os.replace``) and serialized by an
 in-process lock; the daemon funnels all persistence through one process,
 so no cross-process locking is needed.
 
-Crash safety: every object gets a ``<id>.meta.json`` sidecar holding its
-index entry, so the index is *derived* state. Opening a store runs
-:meth:`ProfileStore.recover`: leftover ``*.tmp.*`` files from interrupted
-writes are swept, and a missing or unreadable ``index.json`` triggers a
-full rebuild from a blob scan — content-verified blobs re-enter the index
-(via their sidecar, or a minimal entry derived from the payload), corrupt
-blobs are moved to ``quarantine/``. Reads heal too: a torn index found by
-any query is rebuilt in place, and :meth:`ProfileStore.put` rewrites a
+Crash safety: the index lives in memory, ``index.json`` is its
+checkpoint (:meth:`ProfileStore.flush_index`) and the sidecar every put
+writes is its log. Opening a store (:meth:`ProfileStore.recover`) sweeps
+leftover ``*.tmp.*`` files from interrupted writes, loads the checkpoint
+if it is readable, and enters every content-verified blob it lacks — via
+its sidecar, or a minimal entry derived from the payload; corrupt blobs
+are moved to ``quarantine/``. :meth:`ProfileStore.put` rewrites a
 corrupt existing object rather than trusting it. A
 :class:`repro.faults.FaultInjector` attached as ``store.faults`` can
 inject torn writes (truncated bytes land in the destination and the write
@@ -48,7 +48,7 @@ import subprocess
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ScaleneConfig
 from repro.core.profile_data import ProfileData
@@ -101,32 +101,24 @@ class ProfileStore:
         self.faults = faults
         self._lock = threading.RLock()
         self.objects_dir.mkdir(parents=True, exist_ok=True)
-        #: Stamp-validated index cache. ``_cache_index`` mirrors the
-        #: on-disk index as of ``_cache_stamp`` (mtime_ns, size); any
-        #: out-of-band change to ``index.json`` changes the stamp, so
-        #: reads fall through to disk (and its healing path) exactly as
-        #: they did before the cache existed. With
-        #: :attr:`defer_index_flush` set, ``put`` appends to the cache
-        #: only (``_pending_flush``), and :meth:`flush_index` writes the
-        #: whole index once — turning an N-profile bulk load from
-        #: O(N²) index bytes into O(N). Safe because the index is
-        #: derived state: a crash before the flush loses nothing the
-        #: sidecar scan can't rebuild.
-        self._cache_index: Optional[Dict] = None
-        self._cache_stamp: Optional[tuple] = None
-        self._pending_flush = False
-        self.defer_index_flush = False
+        #: id -> index entry, in insertion order: the index itself.
+        self._index: Dict[str, Dict] = {}
+        #: Entries in ``index.json`` (-1: missing or unreadable).
+        self._flushed = -1
+        self._flush_lock = threading.Lock()
         #: What opening the store had to heal (see :meth:`recover`).
         self.last_recovery = self.recover()
 
     # -- recovery --------------------------------------------------------
 
     def recover(self) -> Dict[str, int]:
-        """Sweep interrupted writes and rebuild the index if unreadable.
+        """Sweep interrupted writes, load ``index.json``, replay the rest.
 
-        Safe to call at any time (it runs on every open). Returns a small
+        Runs on every open; writes a checkpoint if the index file was
+        missing or unreadable or a blob was entered. Returns a small
         report: ``tmp_swept`` temp files removed, ``index_rebuilt`` (0/1),
-        and ``objects_quarantined`` corrupt blobs moved aside.
+        ``objects_replayed`` blobs entered, and ``objects_quarantined``
+        corrupt blobs moved aside.
         """
         with self._lock:
             swept = 0
@@ -136,27 +128,33 @@ class ProfileStore:
                     swept += 1
                 except OSError:
                     pass
-            rebuilt = 0
-            quarantined = 0
             try:
-                self._read_index()
-            except StoreError:
-                quarantined = self._rebuild_index()
-                rebuilt = 1
-            return {
-                "tmp_swept": swept,
-                "index_rebuilt": rebuilt,
-                "objects_quarantined": quarantined,
-            }
+                index = json.loads(self.index_path.read_text(encoding="utf-8"))
+                if index["format"] != STORE_FORMAT:
+                    raise ValueError(f"index format {index['format']!r}")
+                self._index = {entry["id"]: entry for entry in index["entries"]}
+                self._flushed = len(self._index)
+            except (OSError, ValueError, KeyError, TypeError):
+                self._index, self._flushed = {}, -1
+            rebuilt = int(self._flushed == -1)
+            replayed, quarantined = self._replay_objects()
+        self.flush_index()
+        return {
+            "tmp_swept": swept,
+            "index_rebuilt": rebuilt,
+            "objects_replayed": replayed,
+            "objects_quarantined": quarantined,
+        }
 
-    def _rebuild_index(self) -> int:
-        """Regenerate ``index.json`` from a content-verified blob scan."""
-        entries: List[Dict] = []
+    def _replay_objects(self) -> Tuple[int, int]:
+        """Enter every verified blob the index lacks, oldest first;
+        returns ``(entered, quarantined)``."""
+        entered: List[Dict] = []
         quarantined = 0
-        for path in sorted(self.objects_dir.glob("*/*.json")):
-            if path.name.endswith(".meta.json"):
-                continue
+        for path in self.objects_dir.glob("*/*.json"):
             profile_id = path.stem
+            if path.name.endswith(".meta.json") or profile_id in self._index:
+                continue
             try:
                 blob = path.read_text(encoding="utf-8")
                 digest = hashlib.sha256(
@@ -172,10 +170,10 @@ class ProfileStore:
             entry = self._load_sidecar(profile_id)
             if entry is None:
                 entry = self._entry_from_envelope(profile_id, envelope)
-            entries.append(entry)
-        entries.sort(key=lambda e: (e.get("created_at", 0.0), e["id"]))
-        self._write_index({"format": STORE_FORMAT, "entries": entries})
-        return quarantined
+            entered.append(entry)
+        entered.sort(key=lambda e: (e.get("created_at", 0.0), e["id"]))
+        self._index.update((entry["id"], entry) for entry in entered)
+        return len(entered), quarantined
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt blob out of ``objects/`` (never delete evidence)."""
@@ -275,21 +273,20 @@ class ProfileStore:
                 self._atomic_write(
                     self._meta_path(profile_id), json.dumps(entry, indent=2) + "\n"
                 )
-            index = self._read_index_healing()
-            if not any(e["id"] == profile_id for e in index["entries"]):
-                index["entries"].append(entry)
-                if self.defer_index_flush:
-                    self._cache_index = index
-                    self._pending_flush = True
-                else:
-                    self._write_index(index)
+            self._index.setdefault(profile_id, entry)
         return profile_id
 
     def flush_index(self) -> None:
-        """Write a deferred index (see :attr:`defer_index_flush`)."""
-        with self._lock:
-            if self._pending_flush and self._cache_index is not None:
-                self._write_index(self._cache_index)
+        """Write the index's checkpoint, ``index.json``, if it has grown
+        since the last one (or the file is missing or unreadable)."""
+        with self._flush_lock:
+            with self._lock:
+                entries = list(self._index.values())
+            if len(entries) == self._flushed:
+                return
+            index = {"format": STORE_FORMAT, "entries": entries}
+            self._atomic_write(self.index_path, json.dumps(index, indent=2) + "\n")
+            self._flushed = len(entries)
 
     # -- read -----------------------------------------------------------
 
@@ -323,28 +320,30 @@ class ProfileStore:
         """Expand a unique id prefix to the full id."""
         if not profile_id:
             raise StoreError("empty profile id")
-        matches = [e["id"] for e in self.entries() if e["id"].startswith(profile_id)]
+        with self._lock:
+            if profile_id in self._index:
+                return profile_id
+            matches = [pid for pid in self._index if pid.startswith(profile_id)]
         if not matches:
             raise StoreError(f"unknown profile id {profile_id!r}")
-        if len(set(matches)) > 1:
+        if len(matches) > 1:
             raise StoreError(f"ambiguous profile id prefix {profile_id!r}")
         return matches[0]
 
     def entry(self, profile_id: str) -> Dict:
+        """The index entry of a profile (a copy)."""
         profile_id = self.resolve(profile_id)
-        for e in self.entries():
-            if e["id"] == profile_id:
-                return e
-        raise StoreError(f"profile {profile_id} has no index entry")
+        with self._lock:
+            return dict(self._index[profile_id])
 
     def entries(self) -> List[Dict]:
-        """All index entries, insertion-ordered (heals a torn index).
+        """All index entries, insertion-ordered.
 
         Returns per-entry copies: callers can annotate them without
-        mutating the cached index.
+        mutating the index.
         """
         with self._lock:
-            return [dict(e) for e in self._read_index_healing()["entries"]]
+            return [dict(e) for e in self._index.values()]
 
     def find(
         self,
@@ -363,10 +362,11 @@ class ProfileStore:
                 and (tree_hash is None or entry["tree_hash"] == tree_hash)
             )
 
-        return [e for e in self.entries() if match(e)]
+        with self._lock:
+            return [dict(e) for e in self._index.values() if match(e)]
 
     def __len__(self) -> int:
-        return len(self.entries())
+        return len(self._index)
 
     def __contains__(self, profile_id: str) -> bool:
         try:
@@ -404,54 +404,3 @@ class ProfileStore:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-
-    def _read_index(self) -> Dict:
-        try:
-            index = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"cannot read store index {self.index_path}: {exc}")
-        if not isinstance(index, dict) or index.get("format") != STORE_FORMAT:
-            raise StoreError(
-                f"unsupported index format; this build reads format {STORE_FORMAT}"
-            )
-        return index
-
-    def _index_stamp(self) -> Optional[tuple]:
-        try:
-            stat = self.index_path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
-
-    def _read_index_healing(self) -> Dict:
-        """Read the index, rebuilding it from the blobs if unreadable.
-
-        Served from the in-memory cache while the on-disk stamp is
-        unchanged (or while a deferred flush makes the cache the only
-        current copy); any external modification invalidates the stamp
-        and falls through to the original read-and-heal path.
-        """
-        with self._lock:
-            if self._pending_flush and self._cache_index is not None:
-                return self._cache_index
-            stamp = self._index_stamp()
-            if (
-                self._cache_index is not None
-                and stamp is not None
-                and stamp == self._cache_stamp
-            ):
-                return self._cache_index
-            try:
-                index = self._read_index()
-            except StoreError:
-                self._rebuild_index()
-                index = self._read_index()
-            self._cache_index = index
-            self._cache_stamp = self._index_stamp()
-            return index
-
-    def _write_index(self, index: Dict) -> None:
-        self._atomic_write(self.index_path, json.dumps(index, indent=2) + "\n")
-        self._cache_index = index
-        self._cache_stamp = self._index_stamp()
-        self._pending_flush = False

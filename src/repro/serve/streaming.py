@@ -122,12 +122,14 @@ class RunningStats:
         return self
 
     def to_dict(self) -> Dict:
+        # Bounds as floats, as :meth:`from_dict` reads them back, so that a
+        # reloaded state serializes byte for byte as it was written.
         return {
             "count": self.count,
             "mean": self.mean,
             "m2": self._m2,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
+            "min": float(self.min) if self.count else 0.0,
+            "max": float(self.max) if self.count else 0.0,
         }
 
     @classmethod
@@ -594,8 +596,8 @@ class StreamingAggregator:
     queries — and ingest happens exactly once per stored profile (merged
     profiles, which have parents, are excluded, matching the exact
     trend's semantics). The whole registry serializes to one JSON blob
-    (:meth:`to_dict`), persisted by the daemon next to the store after
-    each ingest so a restart resumes without replaying history.
+    (:meth:`to_dict`), which the daemon checkpoints next to the store so
+    a restart replays only the profiles the checkpoint has not seen.
     """
 
     STATE_FORMAT = 1
@@ -641,6 +643,10 @@ class StreamingAggregator:
             self._seen.add(profile_id)
         self.ingested += 1
         return True
+
+    def __contains__(self, profile_id: str) -> bool:
+        """True iff the profile with this content id was ingested."""
+        return profile_id in self._seen
 
     def sketch(
         self,

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import ServeError
 from repro.faults.chaos import (
     build_fault_schedules,
+    kill_burst,
     run_chaos,
     run_gateway_chaos,
     run_reshard_chaos,
@@ -87,6 +88,20 @@ def test_schedules_are_deterministic():
     assert sum(1 for s in a if s.crash_attempts and s.crash_mode == "exit") == 2
     assert sum(1 for s in a if s.crash_attempts and s.crash_mode == "exception") == 2
     assert len({s.seed for s in a} & {s.seed for s in build_fault_schedules(8, 8)}) == 0
+
+
+@pytest.mark.parametrize("jobs", range(6, 17))
+def test_kill_harnesses_share_a_heavy_tail_that_grows_with_scale(jobs):
+    # Both kill harnesses draw their burst here. The last two jobs run
+    # 40x heavier on workloads whose work grows with scale, whatever the
+    # job count; balanced's and leaky's stays at ~3 ms at any scale.
+    burst = kill_burst(jobs, 0.05)
+    assert len(burst) == jobs
+    light, heavy = burst[:-2], burst[-2:]
+    assert [workload for workload, _ in heavy] == ["pprint", "fannkuch"]
+    assert min(scale for _, scale in heavy) >= 40 * 0.05
+    assert max(scale for _, scale in light) < 40 * 0.05
+    assert len(set(burst)) == jobs  # distinct payloads, distinct profiles
 
 
 # -- chaos at scale: shard kill + router failover ---------------------------

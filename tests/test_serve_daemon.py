@@ -8,16 +8,22 @@ every profile persisted, and the merged aggregate's counters equal to
 the sums (peaks: maxes) of the constituent runs.
 """
 
+import copy
 import json
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
 
+from repro import SimProcess
+from repro.core import Scalene
 from repro.core.profile_data import ProfileData
 from repro.errors import ServeError
-from repro.serve import ProfileDaemon, ServeClient
+from repro.serve import ProfileDaemon, ProfileStore, ServeClient
+from repro.serve import daemon as daemon_module
+from repro.serve.streaming import StreamingAggregator
 
 #: 8 distinct jobs over 2 cheap workloads. The sampling-interval override
 #: varies per job so each produces a distinct profile (the simulation is
@@ -293,3 +299,99 @@ def test_stopped_daemon_refuses_connections(tmp_path):
     finally:
         victim.stop()
         sibling.stop()
+
+
+# -- the sketches are a checkpoint that boot catches up -----------------
+
+
+def _variants(n):
+    """``n`` distinct cpu-mode profiles of one small program."""
+    source = "total = 0\nfor i in range(2000):\n    total = total + i\n"
+    base = Scalene.run(SimProcess(source, filename="boot.py"), mode="cpu")
+    variants = []
+    for index in range(n):
+        variant = copy.deepcopy(base)
+        variant.elapsed *= 1.0 + index * 1e-3  # distinct content ids
+        variants.append(variant)
+    return variants
+
+
+def test_boot_ingests_profiles_the_sketch_checkpoint_has_not_seen(tmp_path):
+    store = ProfileStore(tmp_path)
+    first, second = _variants(2)
+    first_id = store.put(first, workload="wl", created_at=1.0)
+    # A sketch checkpoint from before the second profile was stored, as a
+    # crash between a put and the next checkpoint leaves it.
+    aggregator = StreamingAggregator()
+    aggregator.ingest(store.entry(first_id), first)
+    (tmp_path / "sketches.json").write_text(json.dumps(aggregator.to_dict()) + "\n")
+    store.put(second, workload="wl", created_at=2.0)
+    daemon = ProfileDaemon(tmp_path, workers=1)
+    daemon.start()
+    try:
+        client = ServeClient(daemon.url)
+        sketch = client.trend(workload="wl")
+        exact = client.trend(workload="wl", exact=1)
+        assert exact["total"] == 2
+        assert sketch["total"] == exact["total"]
+        assert {p["id"] for p in sketch["trend"]} == {p["id"] for p in exact["trend"]}
+        assert client.health()["sketch"]["ingested"] == 2
+    finally:
+        daemon.stop()
+
+
+def test_clean_restart_answers_sketch_and_trend_byte_for_byte(tmp_path):
+    profiles = _variants(4)
+    store = ProfileStore(tmp_path)
+    for index, profile in enumerate(profiles[:3]):
+        store.put(profile, workload="wl", created_at=float(index))
+
+    def answers(daemon):
+        return [
+            urllib.request.urlopen(daemon.url + path, timeout=30).read()
+            for path in ("/sketch?state=1", "/trend?workload=wl")
+        ]
+
+    daemon = ProfileDaemon(store, workers=1)
+    daemon.start()
+    try:
+        # One more profile lands while it runs, as a finished job's does.
+        profile_id = store.put(profiles[3], workload="wl", created_at=3.0)
+        assert daemon.ingest_stored(profile_id, profiles[3])
+        before = answers(daemon)
+    finally:
+        daemon.stop()
+    # stop() wrote the sketch checkpoint the reboot loads.
+    checkpoint = json.loads((tmp_path / "sketches.json").read_text())
+    assert checkpoint == json.loads(before[0])["state"]
+    rebooted = ProfileDaemon(tmp_path, workers=1)
+    rebooted.start()
+    try:
+        assert answers(rebooted) == before
+    finally:
+        rebooted.stop()
+
+
+def test_the_monitor_writes_the_checkpoints_not_the_finish_path(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(daemon_module, "_CHECKPOINT_S", 0.1)
+    daemon = ProfileDaemon(tmp_path, workers=1)
+    (profile,) = _variants(1)
+    profile_id = daemon.store.put(profile, workload="wl")
+    assert daemon.ingest_stored(profile_id, profile)
+    # A finished job's put and ingest write neither checkpoint.
+    assert json.loads(daemon.store.index_path.read_text())["entries"] == []
+    assert not (tmp_path / "sketches.json").exists()
+    daemon.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (tmp_path / "sketches.json").exists():
+            assert time.monotonic() < deadline, "no sketch checkpoint"
+            time.sleep(0.05)
+        sketches = json.loads((tmp_path / "sketches.json").read_text())
+        assert sketches["seen"] == [profile_id]
+        index = json.loads(daemon.store.index_path.read_text())
+        assert [e["id"] for e in index["entries"]] == [profile_id]
+    finally:
+        daemon.stop()

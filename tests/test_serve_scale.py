@@ -16,6 +16,7 @@ import copy
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 from urllib.parse import urlparse
@@ -29,6 +30,7 @@ from repro.serve.client import ServeClient
 from repro.serve.daemon import ProfileDaemon
 from repro.serve.frontend import ServeFrontend
 from repro.serve.healing import RetryPolicy
+from repro.serve.httpapi import JsonServer
 from repro.serve.jobs import execute_job
 from repro.serve.router import DEFAULT_VNODES, HashRing, ShardRouter, shard_key
 from repro.serve.shard import ShardPlane
@@ -214,8 +216,8 @@ def flaky_server(request):
 
 
 def _client(server, *, attempts):
-    # connect_timeout_s=None skips the connect probe so each transport
-    # attempt costs the fake server exactly one connection.
+    # Each transport attempt costs the fake server exactly one connection
+    # (connect and read share the one socket whatever the timeouts).
     return ServeClient(
         server.url,
         timeout=5.0,
@@ -279,6 +281,63 @@ def test_dead_host_fails_within_the_connect_timeout():
         client.health()
     # Refused/timed-out connect must not consume the 30s read budget.
     assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize(
+    "flaky_server", [({"status": "ok"}, 0)], indirect=True
+)
+def test_one_connection_per_request_with_a_short_connect_timeout(flaky_server):
+    # The gateway's shard clients connect in less time than they read.
+    client = ServeClient(flaky_server.url, timeout=5.0, connect_timeout_s=1.0)
+    for _ in range(3):
+        assert client.health() == {"status": "ok"}
+    assert flaky_server.connections == 3
+
+
+def test_a_peer_that_hangs_up_leaves_no_traceback(capfd):
+    entered, release = threading.Event(), threading.Event()
+
+    def held(request):
+        entered.set()
+        release.wait(5.0)
+        return {"status": "ok"}
+
+    server = JsonServer(("127.0.0.1", 0), {("GET", "health"): held})
+    server.start("test-hangup")
+    try:
+        for _ in range(3):
+            entered.clear()
+            release.clear()
+            sock = socket.create_connection(server.server_address, timeout=5.0)
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert entered.wait(5.0)
+            # Reset the connection before the reply is written.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            time.sleep(0.05)
+            release.set()
+        release.set()
+        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
+        assert client.health() == {"status": "ok"}  # still serving
+    finally:
+        server.close()  # joins the request threads, so their errors are out
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_other_request_errors_are_still_reported(capfd):
+    server = JsonServer(("127.0.0.1", 0), {})
+    try:
+        for exc in (BrokenPipeError(), ConnectionResetError(), ValueError("boom")):
+            try:
+                raise exc
+            except Exception:  # noqa: BLE001 — as socketserver calls it
+                server.handle_error(None, ("127.0.0.1", 0))
+    finally:
+        server.close()
+    err = capfd.readouterr().err
+    assert err.count("Traceback") == 1 and "ValueError: boom" in err
 
 
 # -- pagination --------------------------------------------------------

@@ -173,8 +173,12 @@ def test_missing_index_rebuilds_from_blob_scan(tmp_path):
 def test_corrupt_index_heals_in_place(store):
     profile_id = store.put(run_profile(SOURCE_A), workload="wl-a")
     store.index_path.write_text("{ not json", encoding="utf-8")
-    # Any read path heals the torn index by rebuilding from the blobs.
+    # Reads answer from the in-memory index; reopening rebuilds the torn
+    # checkpoint from the blobs.
     assert [e["id"] for e in store.entries()] == [profile_id]
+    reopened = ProfileStore(store.root)
+    assert reopened.last_recovery["index_rebuilt"] == 1
+    assert [e["id"] for e in reopened.entries()] == [profile_id]
     assert json.loads(store.index_path.read_text())["entries"]
 
 
@@ -233,3 +237,97 @@ def test_torn_write_fault_heals_on_retry(tmp_path):
     assert store.get(profile_id).to_dict() == profile.to_dict()
     assert store.entry(profile_id)["workload"] == "wl-a"
     assert store.faults.counters["torn_writes"] == 1
+
+
+# -- the index is in memory; index.json is its checkpoint ------------------
+
+
+def test_put_leaves_the_index_checkpoint_to_flush_index(tmp_path):
+    store = ProfileStore(tmp_path / "store")
+    checkpoint = store.index_path.read_bytes()
+    id_a = store.put(run_profile(SOURCE_A), workload="wl-a", created_at=1.0)
+    id_b = store.put(run_profile(SOURCE_B), workload="wl-b", created_at=2.0)
+    assert store.index_path.read_bytes() == checkpoint
+    # Without a flush, reopening replays both puts from their sidecars.
+    reopened = ProfileStore(tmp_path / "store")
+    assert reopened.last_recovery["index_rebuilt"] == 0
+    assert reopened.last_recovery["objects_replayed"] == 2
+    assert [e["id"] for e in reopened.entries()] == [id_a, id_b]
+    assert reopened.entry(id_b)["workload"] == "wl-b"
+    store.flush_index()
+    listed = json.loads(store.index_path.read_text())["entries"]
+    assert [e["id"] for e in listed] == [id_a, id_b]
+
+
+def test_blob_missing_from_a_readable_index_is_listed_on_reopen(tmp_path):
+    store = ProfileStore(tmp_path / "store")
+    id_a = store.put(run_profile(SOURCE_A), workload="wl-a", created_at=1.0)
+    store.flush_index()
+    checkpoint = store.index_path.read_bytes()
+    id_b = store.put(run_profile(SOURCE_B), workload="wl-b", created_at=2.0)
+    store.flush_index()
+    # The write that listed id_b is lost; its blob and sidecar are not.
+    store.index_path.write_bytes(checkpoint)
+    reopened = ProfileStore(tmp_path / "store")
+    assert reopened.last_recovery["index_rebuilt"] == 0
+    assert id_b in reopened
+    assert len(reopened) == 2
+    assert [e["id"] for e in reopened.entries()] == [id_a, id_b]
+    assert reopened.entry(id_b)["workload"] == "wl-b"
+    # The reopen wrote a checkpoint that lists it.
+    listed = json.loads(reopened.index_path.read_text())["entries"]
+    assert [e["id"] for e in listed] == [id_a, id_b]
+
+
+def test_concurrent_puts_and_flushes_keep_every_entry(tmp_path):
+    import sys
+    import threading
+
+    store = ProfileStore(tmp_path / "store")
+    base = run_profile(SOURCE_A)
+    variants = []
+    for index in range(48):
+        variant = base.from_dict(base.to_dict())
+        variant.elapsed *= 1.0 + index * 1e-3  # distinct content ids
+        variants.append(variant)
+    ids, errors, done = [], [], threading.Event()
+
+    def put_all(chunk):
+        try:
+            ids.extend(store.put(v, workload="wl", created_at=1.0) for v in chunk)
+        except Exception as exc:  # noqa: BLE001 — surface in the main thread
+            errors.append(exc)
+
+    def flush_until_done():
+        try:
+            while not done.is_set():
+                store.flush_index()
+        except Exception as exc:  # noqa: BLE001 — surface in the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        flushers = [threading.Thread(target=flush_until_done) for _ in range(3)]
+        putters = [
+            threading.Thread(target=put_all, args=(variants[i::4],)) for i in range(4)
+        ]
+        for thread in flushers + putters:
+            thread.start()
+        for thread in putters:
+            thread.join(timeout=120)
+        done.set()
+        for thread in flushers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in flushers + putters)
+    assert errors == []
+    assert len(set(ids)) == 48
+    store.flush_index()
+    listed = json.loads(store.index_path.read_text())["entries"]
+    assert {e["id"] for e in listed} == set(ids)
+    assert {e["id"] for e in store.entries()} == set(ids)
+    reopened = ProfileStore(tmp_path / "store")
+    assert reopened.last_recovery["objects_replayed"] == 0
+    assert len(reopened) == 48
