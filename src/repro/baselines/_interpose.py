@@ -3,14 +3,15 @@
 Fil, Memray and the rate-based sampler all interpose on both allocation
 domains the way Scalene does: a shim listener for native traffic plus a
 PyMem-hook wrapper for Python-object traffic (delegating under the shim's
-in-allocator guard to avoid double counting).
+in-allocator flag to avoid double counting), both adapted onto one
+``observe``.
 """
 
 from __future__ import annotations
 
 from repro.baselines.base import Profiler
 from repro.memory.hooks import ObservingAllocator
-from repro.memory.shim import ShimListener
+from repro.memory.shim import DOMAIN_PYTHON, ShimListener
 
 
 class AllocationInterposer(Profiler, ShimListener):
@@ -29,14 +30,22 @@ class AllocationInterposer(Profiler, ShimListener):
         mem = self.process.mem
         mem.shim.add_listener(self)
         self._saved_allocator = mem.hooks.get_allocator()
-        mem.hooks.set_allocator(ObservingAllocator(self.observe, self._saved_allocator, mem.shim))
+        mem.hooks.set_allocator(
+            ObservingAllocator(self._on_py_alloc, self._on_py_free, self._saved_allocator, mem.shim)
+        )
 
     def _uninstall(self) -> None:
         mem = self.process.mem
         mem.shim.remove_listener(self)
         mem.hooks.set_allocator(self._saved_allocator)
 
-    # -- shim listener ----------------------------------------------------------
+    # -- PyMem wrapper callbacks and shim listener --------------------------------
+
+    def _on_py_alloc(self, nbytes: int, address: int, thread) -> None:
+        self.observe(nbytes, DOMAIN_PYTHON, address, thread)
+
+    def _on_py_free(self, nbytes: int, address: int, thread) -> None:
+        self.observe(-nbytes, DOMAIN_PYTHON, address, thread)
 
     def on_malloc(self, event) -> None:
         self.observe(+event.nbytes, event.domain, event.address, event.thread)

@@ -82,7 +82,9 @@ class LeakDetector:
     def __init__(self, config: ScaleneConfig) -> None:
         self._config = config
         self._high_water = 0
-        self._tracked: Optional[_TrackedAllocation] = None
+        #: The object being watched for a free; the memory profiler's free
+        #: path makes on_free's comparison against it inline.
+        self.tracked: Optional[_TrackedAllocation] = None
         self._sites: Dict[Location, _SiteScore] = {}
         #: Pointer comparisons performed (to demonstrate cheapness).
         self.free_checks = 0
@@ -92,7 +94,7 @@ class LeakDetector:
     def on_free(self, address: int) -> None:
         """Called for every free: one almost-always-false comparison."""
         self.free_checks += 1
-        tracked = self._tracked
+        tracked = self.tracked
         if tracked is not None and tracked.address == address:
             tracked.freed = True
 
@@ -119,16 +121,16 @@ class LeakDetector:
         site.mallocs += 1
         site.bytes_observed += nbytes
         site.last_seen_wall = wall
-        self._tracked = _TrackedAllocation(address=address, nbytes=nbytes, location=location)
+        self.tracked = _TrackedAllocation(address=address, nbytes=nbytes, location=location)
 
     def _close_current(self) -> None:
-        tracked = self._tracked
+        tracked = self.tracked
         if tracked is None or tracked.location is None:
-            self._tracked = None
+            self.tracked = None
             return
         if tracked.freed:
             self._sites[tracked.location].frees += 1
-        self._tracked = None
+        self.tracked = None
 
     # -- reporting -------------------------------------------------------
 

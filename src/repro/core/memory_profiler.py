@@ -5,9 +5,11 @@ Installs two interposition points:
 * a listener on the system-allocator shim (the LD_PRELOAD layer), which
   observes *native* allocations and frees; and
 * a wrapper around the Python object allocator via the PyMem hooks
-  (``PyMem_SetAllocator``), which observes *Python* allocations and frees
-  — delegating to the previous allocator while holding the shim's
-  in-allocator guard so the backing system traffic is not double counted.
+  (``PyMem_SetAllocator``), which reports *Python* allocations and frees
+  to :meth:`MemoryProfiler.observe_alloc` and
+  :meth:`MemoryProfiler.observe_free` — delegating to the previous
+  allocator under the shim's in-allocator flag so the backing system
+  traffic is not double counted.
 
 Both streams feed one **threshold-based sampler**: a running footprint
 counter triggers a sample whenever it moves more than ``T`` bytes (the
@@ -22,6 +24,7 @@ leak detector piggybacks on growth samples (§3.4).
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.core.attribution import thread_location
@@ -49,9 +52,11 @@ class MemoryProfiler(ShimListener):
         self._stats = stats
         self._leaks = leak_detector
         self.samplefile = SampleFile("scalene-mem")
-        # Footprint tracking (profiler's view, built purely from events).
+        # Footprint tracking (profiler's view, built purely from events),
+        # and the bounds whose crossing takes a sample (see _rebase).
         self._footprint = 0
         self._footprint_at_last_sample = 0
+        self._lower = self._upper = 0
         # Window counters since the last sample (python fraction, §3.3).
         self._window_alloc_bytes = 0
         self._window_python_alloc_bytes = 0
@@ -70,21 +75,26 @@ class MemoryProfiler(ShimListener):
     def install(self) -> None:
         if self._installed:
             raise ProfilerError("memory profiler already installed")
-        mem = self._process.mem
-        mem.shim.add_listener(self)
-        self._saved_allocator = mem.hooks.get_allocator()
-        mem.hooks.set_allocator(
-            ObservingAllocator(self.observe, self._saved_allocator, mem.shim)
-        )
+        process = self._process
+        mem = process.mem
         # Per-event hook costs, in seconds (same float expressions as the
         # overhead model's ops x op_cost, computed once).
         config = self._config
-        op_cost = self._process.vm.config.op_cost
+        op_cost = process.vm.config.op_cost
         self._alloc_cost = config.alloc_hook_cost_ops * op_cost
         self._free_cost = (config.alloc_hook_cost_ops + config.free_check_cost_ops) * op_cost
         self._sample_cost = config.sample_write_cost_ops * op_cost
+        # What SimProcess.charge_overhead touches, for the inline charge.
+        self._clock = process.clock
+        self._signals = process.signals
+        self._ground_truth = process.ground_truth
+        mem.shim.add_listener(self)
+        self._saved_allocator = mem.hooks.get_allocator()
+        mem.hooks.set_allocator(
+            ObservingAllocator(self.observe_alloc, self.observe_free, self._saved_allocator, mem.shim)
+        )
         self._footprint = mem.logical_footprint()
-        self._footprint_at_last_sample = self._footprint
+        self._rebase()
         self._installed = True
 
     def uninstall(self) -> None:
@@ -111,24 +121,73 @@ class MemoryProfiler(ShimListener):
 
     def observe(self, signed_bytes: int, domain: str, address: int, thread) -> None:
         """One allocation (+) or free (-) event, either domain."""
-        self.event_count += 1
         if signed_bytes >= 0:
-            self._process.charge_overhead(thread, self._alloc_cost)
-            self._window_alloc_bytes += signed_bytes
-            if domain == DOMAIN_PYTHON:
-                self._window_python_alloc_bytes += signed_bytes
+            self.observe_alloc(signed_bytes, address, thread, domain == DOMAIN_PYTHON)
         else:
-            self._process.charge_overhead(thread, self._free_cost)
-            if self._leaks is not None:
-                # The cheap, highly predictable pointer comparison (§3.4).
-                self._leaks.on_free(address)
-        self._footprint += signed_bytes
-        if self.paused:
-            return
+            self.observe_free(-signed_bytes, address, thread)
 
-        delta = self._footprint - self._footprint_at_last_sample
-        if abs(delta) >= self._config.memory_threshold:
-            self._take_sample(delta, address, abs(signed_bytes), thread)
+    def observe_alloc(self, nbytes: int, address: int, thread, python: bool = True) -> None:
+        """One allocation of ``nbytes`` (the PyMem wrapper's ``on_alloc``;
+        :meth:`observe` passes ``python=False`` for a native one, which
+        stays out of the window's Python share).
+
+        The per-event path is this one frame and the clock advance: the
+        hook charge is :meth:`SimProcess.charge_overhead` inlined, in its
+        order, and the threshold test is one comparison with a bound set
+        when the window opened.
+        """
+        self.event_count += 1
+        cost = self._alloc_cost
+        if cost > 0:
+            self._clock.advance_cpu_inline(cost, self._signals)
+            if thread is not None:
+                thread.cpu_time += cost
+            if self._ground_truth is not None:
+                self._ground_truth.record_overhead(cost)
+        self._window_alloc_bytes += nbytes
+        if python:
+            self._window_python_alloc_bytes += nbytes
+        footprint = self._footprint = self._footprint + nbytes
+        if footprint >= self._upper:
+            self._take_sample(footprint - self._footprint_at_last_sample, address, nbytes, thread)
+
+    def observe_free(self, nbytes: int, address: int, thread) -> None:
+        """One free of ``nbytes``, either domain (the PyMem wrapper's
+        ``on_free``); one frame, as :meth:`observe_alloc`."""
+        self.event_count += 1
+        cost = self._free_cost
+        if cost > 0:
+            self._clock.advance_cpu_inline(cost, self._signals)
+            if thread is not None:
+                thread.cpu_time += cost
+            if self._ground_truth is not None:
+                self._ground_truth.record_overhead(cost)
+        leaks = self._leaks
+        if leaks is not None:
+            # The cheap, highly predictable pointer comparison (§3.4),
+            # LeakDetector.on_free inlined.
+            leaks.free_checks += 1
+            tracked = leaks.tracked
+            if tracked is not None and tracked.address == address:
+                tracked.freed = True
+        footprint = self._footprint = self._footprint - nbytes
+        if footprint <= self._lower:
+            self._take_sample(footprint - self._footprint_at_last_sample, address, nbytes, thread)
+
+    def _rebase(self) -> None:
+        """Open a sampling window at the current footprint. The next sample
+        fires once the footprint is ``memory_threshold`` bytes or more from
+        here (never while paused). Events test only the bound on their own
+        side, which is ``|footprint - last| >= T`` exactly: with ``T > 0``
+        (ScaleneConfig checks it) each window opens strictly inside both
+        bounds, and the first crossing closes it.
+        """
+        footprint = self._footprint_at_last_sample = self._footprint
+        if self.paused:
+            self._lower, self._upper = -math.inf, math.inf
+        else:
+            threshold = self._config.memory_threshold
+            self._lower, self._upper = footprint - threshold, footprint + threshold
 
     def _take_sample(self, delta: int, address: int, trigger_nbytes: int, thread) -> None:
         process = self._process
@@ -161,7 +220,7 @@ class MemoryProfiler(ShimListener):
                 wall=wall,
             )
 
-        self._footprint_at_last_sample = self._footprint
+        self._rebase()
         self._window_alloc_bytes = 0
         self._window_python_alloc_bytes = 0
 
@@ -169,14 +228,15 @@ class MemoryProfiler(ShimListener):
 
     def pause(self) -> None:
         self.paused = True
+        self._rebase()
 
     def resume(self) -> None:
         """Resume sampling; footprint drift during the pause is skipped
         (it belongs to the unprofiled region)."""
-        self._footprint_at_last_sample = self._footprint
+        self.paused = False
+        self._rebase()
         self._window_alloc_bytes = 0
         self._window_python_alloc_bytes = 0
-        self.paused = False
 
     # -- introspection ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from repro.memory.pymalloc import PyAllocation, PyMalloc
-from repro.memory.shim import DOMAIN_PYTHON, AllocatorShim
+from repro.memory.shim import AllocatorShim
 
 
 class PyMemAllocator(Protocol):
@@ -62,36 +62,52 @@ class PyMemHooks:
 
 
 class ObservingAllocator:
-    """A ``PyMem_SetAllocator`` wrapper: ``observe(signed_bytes, domain,
-    address, thread)`` sees every allocation (+) after it succeeds and
-    every free (-) before it happens, and the request is delegated to the
-    previous allocator under the shim's in-allocator flag, so the system
-    traffic it causes (arena growth, large-object backing) is not counted
-    twice. The guard is an inline try/finally: a generator context manager
-    per event costs more than the rest of the wrapper.
+    """A ``PyMem_SetAllocator`` wrapper. ``on_alloc(nbytes, address,
+    thread)`` sees every allocation after it succeeds and ``on_free(nbytes,
+    address, thread)`` every free before it happens; the request is
+    delegated to the previous allocator under the shim's in-allocator flag,
+    so the system traffic it causes (arena growth, large-object backing) is
+    not counted twice.
+
+    One event is one frame here plus the callback's: the flag is set and
+    cleared inline, by the rule of :meth:`AllocatorShim.enter_allocator`
+    (keyed by the thread's ident or None; only the outermost guard on a key
+    clears it), in a try/finally.
     """
 
-    __slots__ = ("_observe", "_inner", "_enter", "_exit")
+    __slots__ = ("_on_alloc", "_on_free", "_inner", "_flagged")
 
-    def __init__(self, observe: Callable, inner: PyMemAllocator, shim: AllocatorShim) -> None:
-        self._observe = observe
+    def __init__(
+        self, on_alloc: Callable, on_free: Callable, inner: PyMemAllocator, shim: AllocatorShim
+    ) -> None:
+        self._on_alloc = on_alloc
+        self._on_free = on_free
         self._inner = inner
-        self._enter = shim.enter_allocator
-        self._exit = shim.exit_allocator
+        self._flagged = shim.flagged
 
     def alloc(self, nbytes: int, thread=None) -> PyAllocation:
-        token = self._enter(thread)
+        key = getattr(thread, "ident", None)
+        flagged = self._flagged
+        outermost = key not in flagged
+        if outermost:
+            flagged.add(key)
         try:
-            handle = self._inner.alloc(nbytes, thread=thread)
+            handle = self._inner.alloc(nbytes, thread)
         finally:
-            self._exit(token)
-        self._observe(nbytes, DOMAIN_PYTHON, handle.address, thread)
+            if outermost:
+                flagged.discard(key)
+        self._on_alloc(nbytes, handle.address, thread)
         return handle
 
     def free(self, handle: PyAllocation, thread=None) -> None:
-        self._observe(-handle.nbytes, DOMAIN_PYTHON, handle.address, thread)
-        token = self._enter(thread)
+        self._on_free(handle.nbytes, handle.address, thread)
+        key = getattr(thread, "ident", None)
+        flagged = self._flagged
+        outermost = key not in flagged
+        if outermost:
+            flagged.add(key)
         try:
-            self._inner.free(handle, thread=thread)
+            self._inner.free(handle, thread)
         finally:
-            self._exit(token)
+            if outermost:
+                flagged.discard(key)

@@ -10,9 +10,9 @@ the paper:
   PyMem level (``PyMem_SetAllocator``) in addition to the system level.
 * **Large objects** fall through directly to the system allocator.
 
-The arena requests are issued through the shim; when the profiler's PyMem
-wrapper holds the shim's in-allocator guard, those requests are invisible
-to listeners (no double counting, §3.1).
+The arena and large-object requests are issued through the shim under its
+in-allocator flag, so they are invisible to listeners (no double counting,
+§3.1).
 """
 
 from __future__ import annotations
@@ -72,10 +72,14 @@ class PyMalloc:
 
     def _ensure_capacity(self, nbytes: int, thread) -> None:
         while self._small_in_use + nbytes > self._usable:
-            # Arena mappings are internal allocator work: guard them so shim
+            # Arena mappings are internal allocator work: flag them so shim
             # listeners do not misattribute them as native program activity.
-            with self._shim.allocator_guard(thread):
-                arena = self._shim.malloc(ARENA_SIZE, thread=thread, touch=True, tag="arena")
+            shim = self._shim
+            token = shim.enter_allocator(thread)
+            try:
+                arena = shim.malloc(ARENA_SIZE, thread=thread, touch=True, tag="arena")
+            finally:
+                shim.exit_allocator(token)
             self._arenas.append(arena)
             self._usable = int(len(self._arenas) * _USABLE_PER_ARENA)
 
@@ -88,8 +92,12 @@ class PyMalloc:
         ):
             arena = self._arenas.pop()
             self._usable = int(len(self._arenas) * _USABLE_PER_ARENA)
-            with self._shim.allocator_guard(thread):
-                self._shim.free(arena, thread=thread)
+            shim = self._shim
+            token = shim.enter_allocator(thread)
+            try:
+                shim.free(arena, thread=thread)
+            finally:
+                shim.exit_allocator(token)
 
     # -- allocation API -----------------------------------------------------
 
@@ -107,8 +115,12 @@ class PyMalloc:
             self._next_address = address + (nbytes if nbytes > 16 else 16)
             py_alloc = PyAllocation(address, nbytes, "small")
         else:
-            with self._shim.allocator_guard(thread):
-                backing = self._shim.malloc(nbytes, thread=thread, touch=True, tag="pyobj-large")
+            shim = self._shim
+            token = shim.enter_allocator(thread)
+            try:
+                backing = shim.malloc(nbytes, thread=thread, touch=True, tag="pyobj-large")
+            finally:
+                shim.exit_allocator(token)
             py_alloc = PyAllocation(backing.address, nbytes, "large", backing)
         self._live[py_alloc.address] = py_alloc
         return py_alloc
@@ -128,8 +140,12 @@ class PyMalloc:
                 self._maybe_release_arenas(thread)
         else:
             assert py_alloc.backing is not None
-            with self._shim.allocator_guard(thread):
-                self._shim.free(py_alloc.backing, thread=thread)
+            shim = self._shim
+            token = shim.enter_allocator(thread)
+            try:
+                shim.free(py_alloc.backing, thread=thread)
+            finally:
+                shim.exit_allocator(token)
 
     # -- introspection -----------------------------------------------------
 

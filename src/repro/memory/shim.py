@@ -15,9 +15,8 @@ allocate memory without infinite recursion.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.memory.sysalloc import Allocation, SystemAllocator
 
@@ -72,19 +71,22 @@ class ShimListener:
 class AllocatorShim:
     """Interposes on the simulated system allocator.
 
-    Also acts as the central event bus for *Python-domain* allocation
-    events: the profiler's PyMem wrapper publishes its observations through
-    :meth:`publish_python_event` so that a single listener surface sees the
-    whole allocation stream with domain tags, as Scalene's C++ shim does.
+    Listeners see native traffic only: Python-domain events reach a
+    profiler through its own PyMem wrapper
+    (:class:`repro.memory.hooks.ObservingAllocator`), which holds this
+    shim's in-allocator flag while it delegates, so the system traffic
+    behind a Python object is not published twice.
     """
 
     def __init__(self, sysalloc: SystemAllocator, clock=None) -> None:
         self._sysalloc = sysalloc
         self._clock = clock
         self._listeners: List[ShimListener] = []
-        # Thread identities (or the sentinel None) currently inside an
-        # allocator; see the class docstring.
-        self._in_allocator: set = set()
+        #: Keys (thread ident, or None for no thread) whose in-allocator
+        #: flag is set; see the module docstring. Written by
+        #: enter_allocator/exit_allocator and by ObservingAllocator's inline
+        #: copy of the same rule.
+        self.flagged: set = set()
         #: Events suppressed because the in-allocator flag was set.
         self.suppressed_events = 0
 
@@ -114,28 +116,19 @@ class AllocatorShim:
         a nested enter returns a sentinel that is never a key.
         """
         key = getattr(thread, "ident", None)
-        flags = self._in_allocator
-        if key in flags:
+        flagged = self.flagged
+        if key in flagged:
             return _NESTED
-        flags.add(key)
+        flagged.add(key)
         return key
 
     def exit_allocator(self, token: object) -> None:
         """Undo the :meth:`enter_allocator` that returned ``token``."""
-        self._in_allocator.discard(token)
-
-    @contextmanager
-    def allocator_guard(self, thread=None) -> Iterator[None]:
-        """Mark ``thread`` as being inside a memory allocator (re-entrant)."""
-        token = self.enter_allocator(thread)
-        try:
-            yield
-        finally:
-            self.exit_allocator(token)
+        self.flagged.discard(token)
 
     def in_allocator(self, thread=None) -> bool:
         """Whether ``thread``'s flag is set (keyed as in enter_allocator)."""
-        return getattr(thread, "ident", None) in self._in_allocator
+        return getattr(thread, "ident", None) in self.flagged
 
     # -- system allocator surface --------------------------------------------------
 
@@ -192,17 +185,6 @@ class AllocatorShim:
                 MemcpyEvent(nbytes=nbytes, thread=thread, wall=self._wall(), direction=direction),
                 thread,
             )
-
-    # -- python-domain pass-through ---------------------------------------------------
-
-    def publish_python_event(self, event: AllocEvent) -> None:
-        """Publish an event observed at the PyMem hook level.
-
-        The caller (a profiler's PyMem wrapper) is responsible for holding
-        :meth:`allocator_guard` while delegating to the real allocator so
-        the resulting system traffic is suppressed here.
-        """
-        self._publish("on_malloc" if event.kind == "malloc" else "on_free", event, event.thread)
 
     # -- internals ---------------------------------------------------
 

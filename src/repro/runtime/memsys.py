@@ -52,9 +52,9 @@ class MemSubsystem:
                 # installed profiler wrapper — the event is unobserved.
                 handle = self.hooks._default.alloc(nbytes, thread=thread)
             else:
-                handle = self.hooks._current.alloc(nbytes, thread=thread)
+                handle = self.hooks._current.alloc(nbytes, thread)
         else:
-            handle = self.hooks._current.alloc(nbytes, thread=thread)
+            handle = self.hooks._current.alloc(nbytes, thread)
         gt = self.ground_truth
         if gt is not None:
             gt.record_alloc(thread, nbytes, "python")
@@ -69,7 +69,7 @@ class MemSubsystem:
         return handle
 
     def py_free(self, handle: PyAllocation, thread=None) -> None:
-        self.hooks._current.free(handle, thread=thread)
+        self.hooks._current.free(handle, thread)
         gt = self.ground_truth
         if gt is not None:
             gt.record_free(thread, handle.nbytes, "python")
@@ -91,12 +91,16 @@ class MemSubsystem:
         if faults is not None:
             faults.alloc_enomem()  # transient failure, absorbed by retry
             if faults.shim_reentrancy():
-                # Allocate under the in-allocator guard: the shim passes
+                # Allocate under the in-allocator flag: the shim passes
                 # the request through but publishes no event.
-                with self.shim.allocator_guard(thread):
-                    alloc = self.shim.malloc(
+                shim = self.shim
+                token = shim.enter_allocator(thread)
+                try:
+                    alloc = shim.malloc(
                         nbytes, thread=thread, touch=touch, tag=tag, domain=DOMAIN_NATIVE
                     )
+                finally:
+                    shim.exit_allocator(token)
                 self._native_live_bytes += nbytes
                 if self.ground_truth is not None:
                     self.ground_truth.record_alloc(thread, nbytes, "native")

@@ -10,7 +10,9 @@
 * Submissions are validated synchronously (bad payloads fail the POST),
   queued, and dispatched to a ``ProcessPoolExecutor`` — each worker runs
   the workload under the simulated runtime and ships the finished
-  profile back as JSON text.
+  profile back as JSON text. Workers are forked, so they hold every
+  descriptor of the serve process; each exits once that process is gone
+  (:func:`_new_pool`), so a SIGKILL leaves no worker holding its port.
 * The daemon process is the store's only writer: worker results are
   persisted on arrival, keyed by
   ``(workload, profiler, config hash, git tree hash)``.
@@ -85,14 +87,18 @@ to the key's replica shard (``owners(key)[1]`` on the ring), where
 content addressing makes the write idempotent. Aggregation endpoints
 answer from a :class:`~repro.serve.streaming.StreamingAggregator`
 maintained in memory on ingest, so ``/trend`` is O(window) regardless
-of history. The monitor checkpoints it as ``sketches.json``, with the
-store's ``index.json``, at most once per ``_CHECKPOINT_S`` and at stop;
-boot ingests every stored profile that checkpoint has not seen.
+of history. A checkpoint thread writes it as ``sketches.json``, with the
+store's ``index.json``, at most once per ``_CHECKPOINT_S``, and stop
+writes the last; boot ingests every stored profile that checkpoint has
+not seen. The checkpoint has its own thread because it is O(history):
+on the monitor it would stall the deadline and retry tick.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import queue
 import signal as signal_module
 import threading
@@ -136,8 +142,12 @@ _MAX_CRASH_REQUEUES = 4
 #: Read timeout of one replica write to a peer shard.
 _REPLICATE_TIMEOUT_S = 10.0
 
-#: The most often the monitor writes the index and sketch checkpoints.
+#: The most often the checkpoint thread writes the index and sketch
+#: checkpoints.
 _CHECKPOINT_S = 5.0
+
+#: How often a pool worker checks that the serve process still exists.
+_ORPHAN_CHECK_S = 0.5
 
 
 class ProfileDaemon:
@@ -224,16 +234,16 @@ class ProfileDaemon:
         if self._started:
             raise ServeError("daemon already started")
         self._started = True
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
-        )
-        monitor = threading.Thread(
-            target=self._monitor_loop, name="repro-serve-monitor", daemon=True
-        )
-        dispatcher.start()
-        monitor.start()
-        self._threads = [dispatcher, monitor, self._server.start("repro-serve-http")]
+        self._pool = _new_pool(self.workers)
+        loops = [
+            threading.Thread(target=loop, name=f"repro-serve-{name}", daemon=True)
+            for loop, name in ((self._dispatch_loop, "dispatch"),
+                               (self._monitor_loop, "monitor"),
+                               (self._checkpoint_loop, "checkpoint"))
+        ]
+        for thread in loops:
+            thread.start()
+        self._threads = loops + [self._server.start("repro-serve-http")]
 
     def stop(self) -> None:
         """Shut down now: cancel pending work, join every thread."""
@@ -420,9 +430,15 @@ class ProfileDaemon:
                 continue  # quarantined/corrupt blobs don't block boot
         return aggregator
 
+    def _checkpoint_loop(self) -> None:
+        while not self._stop_event.wait(_CHECKPOINT_S):
+            self._checkpoint()
+
     def _checkpoint(self) -> None:
         """Write the index and sketch checkpoints that have changed;
-        non-fatal (a failure is counted, and boot replays what is lost)."""
+        non-fatal (a failure is counted, and boot replays what is lost).
+        Runs on the checkpoint thread, and once more in stop() after that
+        thread has been joined."""
         try:
             self.store.flush_index()
             with self._agg_lock:
@@ -593,15 +609,11 @@ class ProfileDaemon:
         )
         return True
 
-    # -- monitor (timeouts, due retries, checkpoints) -------------------
+    # -- monitor (timeouts, due retries) ---------------------------------
 
     def _monitor_loop(self) -> None:
-        checkpoint_at = time.monotonic() + _CHECKPOINT_S
         while not self._stop_event.wait(_MONITOR_TICK_S):
             now = time.monotonic()
-            if now >= checkpoint_at:
-                self._checkpoint()
-                checkpoint_at = now + _CHECKPOINT_S
             with self._lock:
                 for job_id, due in list(self._retry_at.items()):
                     if now >= due:
@@ -762,7 +774,7 @@ class ProfileDaemon:
         self._inflight.clear()
         self._deadlines.clear()
         old_pool = self._pool
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool = _new_pool(self.workers)
         self.stats["pool_respawns"] += 1
         if old_pool is not None:
             threading.Thread(
@@ -788,6 +800,36 @@ class ProfileDaemon:
     def _release_slots(self, n: int) -> None:
         for _ in range(n):
             self._slots.release()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A forked worker pool whose workers exit when this process dies.
+
+    A forked worker holds every descriptor of the serve process, listening
+    sockets and the WAL included. Orphaned by a SIGKILL, it would block on
+    its call queue forever and keep the port bound, so each worker watches
+    for its parent to change (:func:`_exit_with_parent`). The start method
+    is named because that watch needs this process to be each worker's
+    parent, which a fork server would not be.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
+
+
+def _exit_with_parent(creator: int) -> None:
+    """Pool worker initializer: exit once ``os.getppid()`` no longer names
+    ``creator``, the process that made the pool."""
+
+    def watch() -> None:
+        while os.getppid() == creator:
+            time.sleep(_ORPHAN_CHECK_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-pool-parent-watch", daemon=True).start()
 
 
 def _dispose_pool(pool: ProcessPoolExecutor) -> None:

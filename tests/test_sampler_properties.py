@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SimProcess
 from repro.core.config import ScaleneConfig
+from repro.core.leak_detector import LeakDetector
 from repro.core.memory_profiler import MemoryProfiler
 from repro.core.stats import ScaleneStats
 
@@ -79,3 +80,66 @@ def test_balanced_transients_never_sample(sizes):
         events.extend((size, -size))
     profiler, _ = run_events(events)
     assert profiler.sample_count == 0
+
+
+def drive(events, split):
+    """Feed one Python-domain stream of signed deltas through a sampler
+    with a leak detector, either through the signed ``observe`` or through
+    the PyMem wrapper's split callbacks (``observe_alloc`` for >= 0, as
+    ``observe`` routes it, ``observe_free`` for < 0). Each free names the
+    address of the latest allocation still live, so frees can hit the leak
+    detector's tracked object."""
+    process = SimProcess("x = 1\n", filename="p.py")
+    config = ScaleneConfig(memory_threshold=THRESHOLD)
+    leaks = LeakDetector(config)
+    profiler = MemoryProfiler(process, config, ScaleneStats(), leaks)
+    profiler.install()
+    start = profiler.footprint
+    thread = process.main_thread
+    live = []
+    for i, delta in enumerate(events):
+        if delta >= 0:
+            address = i
+            live.append(address)
+        else:
+            address = live.pop() if live else i
+        if not split:
+            profiler.observe(delta, "python", address, thread)
+        elif delta >= 0:
+            profiler.observe_alloc(delta, address, thread)
+        else:
+            profiler.observe_free(-delta, address, thread)
+    profiler.uninstall()
+    return process, profiler, leaks, start
+
+
+def reference_sample_count(start, events):
+    """The threshold rule as written in §3.2: sample when |footprint -
+    footprint at the last sample| >= T."""
+    footprint = last = start
+    samples = 0
+    for delta in events:
+        footprint += delta
+        if abs(footprint - last) >= THRESHOLD:
+            samples += 1
+            last = footprint
+    return samples
+
+
+@settings(max_examples=80, deadline=None)
+@given(deltas)
+def test_split_callbacks_match_the_signed_observer(events):
+    """observe_alloc/observe_free are the signed observer, event for
+    event: same footprint, samples, sample-file lines, leak checks and
+    clocks, and the precomputed bounds sample where |delta| >= T would."""
+    runs = [drive(events, split) for split in (False, True)]
+    (signed_process, signed, signed_leaks, start), (split_process, split, split_leaks, _) = runs
+    assert split.footprint == signed.footprint
+    assert split.event_count == signed.event_count == len(events)
+    assert split.sample_count == signed.sample_count == reference_sample_count(start, events)
+    assert split.samplefile.all_records() == signed.samplefile.all_records()
+    assert split_leaks.free_checks == signed_leaks.free_checks
+    assert split_leaks._sites == signed_leaks._sites
+    for attr in ("cpu", "wall"):
+        assert getattr(split_process.clock, attr) == getattr(signed_process.clock, attr)
+    assert split_process.main_thread.cpu_time == signed_process.main_thread.cpu_time

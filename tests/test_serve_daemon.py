@@ -10,13 +10,19 @@ the sums (peaks: maxes) of the constituent runs.
 
 import copy
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import SimProcess
 from repro.core import Scalene
 from repro.core.profile_data import ProfileData
@@ -395,3 +401,89 @@ def test_the_monitor_writes_the_checkpoints_not_the_finish_path(
         assert [e["id"] for e in index["entries"]] == [profile_id]
     finally:
         daemon.stop()
+
+
+def test_a_slow_checkpoint_does_not_hold_up_job_deadlines(tmp_path, monkeypatch):
+    """Checkpoints run on their own thread: while one is stuck writing
+    ``index.json``, a hung job still times out within its deadline plus
+    two monitor ticks."""
+    monkeypatch.setattr(daemon_module, "_CHECKPOINT_S", 0.05)
+    # A longer tick gives a loaded host room; a checkpoint on the monitor
+    # would still hold the timeout until the test releases it, 2 s late.
+    monkeypatch.setattr(daemon_module, "_MONITOR_TICK_S", 0.1)
+    daemon = ProfileDaemon(tmp_path, workers=1)
+    release = threading.Event()
+    flush_index = daemon.store.flush_index
+
+    def slow_flush_index():
+        release.wait(10.0)
+        flush_index()
+
+    monkeypatch.setattr(daemon.store, "flush_index", slow_flush_index)
+    daemon.start()
+    try:
+        job = daemon.submit({
+            "workload": "pprint", "scale": 0.1, "timeout_s": 1.0,
+            "faults": {"hang_attempts": 1, "hang_s": 30.0},
+        })
+        wait_until = time.monotonic() + 30.0
+        while (deadline := daemon._deadlines.get(job.id)) is None:
+            assert time.monotonic() < wait_until, "the job never reached a worker"
+            time.sleep(0.005)
+        while daemon.stats["timeouts"] == 0 and time.monotonic() < deadline + 2.0:
+            time.sleep(0.005)
+        timed_out_at = time.monotonic()
+        release.set()
+        assert daemon.stats["timeouts"] == 1
+        assert timed_out_at <= deadline + 2 * daemon_module._MONITOR_TICK_S
+    finally:
+        release.set()
+        daemon.stop()
+
+
+def test_pool_workers_exit_when_the_serve_process_is_killed(tmp_path):
+    """SIGKILL ``repro serve --shards 2`` after a finished job: the forked
+    pool workers that hold the gateway's listening socket follow it, so
+    the port can be bound again within 10 s."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", str(port), "--shards", "2",
+         "--workers", "1", "--store", str(tmp_path / "store")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,  # the workers share its process group
+    )
+    try:
+        client = ServeClient(f"http://127.0.0.1:{port}")
+        up_by = time.monotonic() + 60.0
+        while True:
+            try:
+                client.health()
+                break
+            except ServeError:
+                assert serve.poll() is None and time.monotonic() < up_by, "serve did not start"
+                time.sleep(0.1)
+        job = client.submit("pprint", mode="cpu", scale=0.02)
+        assert client.wait(job["id"], timeout=120.0)["status"] == "done"
+        serve.kill()
+        serve.wait(timeout=10)
+        free_by = time.monotonic() + 10.0
+        while True:
+            try:
+                with socket.socket() as sock:
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                    sock.bind(("127.0.0.1", port))
+                break
+            except OSError:
+                assert time.monotonic() < free_by, "the port is still held 10 s after the SIGKILL"
+                time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(serve.pid, signal.SIGKILL)  # any leftover worker too
+        except ProcessLookupError:
+            pass
+        serve.wait(timeout=10)

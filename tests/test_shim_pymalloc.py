@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import HeapError
 from repro.memory.pymalloc import ARENA_SIZE, SMALL_THRESHOLD, PyMalloc
-from repro.memory.shim import DOMAIN_NATIVE, DOMAIN_PYTHON, AllocatorShim, AllocEvent, ShimListener
+from repro.memory.shim import DOMAIN_NATIVE, AllocatorShim, ShimListener
 from repro.memory.sysalloc import SystemAllocator
 from repro.runtime.clock import VirtualClock
 
@@ -46,9 +46,10 @@ def test_in_allocator_flag_suppresses_events(shim):
     """§3.1: traffic from inside an allocator must not be double counted."""
     recorder = Recorder()
     shim.add_listener(recorder)
-    with shim.allocator_guard():
-        a = shim.malloc(1000)
-        shim.free(a)
+    token = shim.enter_allocator()
+    a = shim.malloc(1000)
+    shim.free(a)
+    shim.exit_allocator(token)
     assert recorder.mallocs == []
     assert recorder.frees == []
     assert shim.suppressed_events == 2
@@ -62,17 +63,20 @@ def test_guard_is_per_thread(shim):
     recorder = Recorder()
     shim.add_listener(recorder)
     t1, t2 = T(1), T(2)
-    with shim.allocator_guard(t1):
-        shim.malloc(10, thread=t2)  # other thread: still published
-        shim.malloc(10, thread=t1)  # guarded thread: suppressed
+    token = shim.enter_allocator(t1)
+    shim.malloc(10, thread=t2)  # other thread: still published
+    shim.malloc(10, thread=t1)  # guarded thread: suppressed
+    shim.exit_allocator(token)
     assert len(recorder.mallocs) == 1
 
 
 def test_guard_nesting(shim):
-    with shim.allocator_guard():
-        with shim.allocator_guard():
-            assert shim.in_allocator()
-        assert shim.in_allocator()  # outer guard still active
+    outer = shim.enter_allocator()
+    inner = shim.enter_allocator()
+    assert shim.in_allocator()
+    shim.exit_allocator(inner)
+    assert shim.in_allocator()  # outer guard still active
+    shim.exit_allocator(outer)
     assert not shim.in_allocator()
 
 
@@ -82,15 +86,6 @@ def test_memcpy_event(shim):
     shim.memcpy(4096, direction="h2d")
     assert recorder.memcpys[0].nbytes == 4096
     assert recorder.memcpys[0].direction == "h2d"
-
-
-def test_publish_python_event(shim):
-    recorder = Recorder()
-    shim.add_listener(recorder)
-    shim.publish_python_event(
-        AllocEvent("malloc", 28, 0x1, DOMAIN_PYTHON, None, 0.0, 0.0)
-    )
-    assert recorder.mallocs[0].domain == DOMAIN_PYTHON
 
 
 def test_remove_listener(shim):
