@@ -164,7 +164,6 @@ def run_chaos(
     from repro.serve.client import ServeClient
     from repro.serve.daemon import ProfileDaemon
     from repro.serve.healing import RetryPolicy
-    from repro.serve.jobs import execute_job
     from repro.serve.store import ProfileStore
 
     report = ChaosReport(seed=seed)
@@ -198,21 +197,12 @@ def run_chaos(
         # -- exactly-once: every job done, with a stored profile --------
         final, done_profiles = _check_done(report.problems, client, submitted, wait_s)
         report.healing = client.health()["healing"]
+        summary = ("id", "workload", "status", "attempts", "crash_requeues",
+                   "profile_id", "error")
         for accepted in submitted:
             job = final.get(accepted["id"])
-            if job is None:
-                continue
-            report.jobs.append(
-                {
-                    "id": job["id"],
-                    "workload": job["workload"],
-                    "status": job["status"],
-                    "attempts": job["attempts"],
-                    "crash_requeues": job["crash_requeues"],
-                    "profile_id": job["profile_id"],
-                    "error": job["error"],
-                }
-            )
+            if job is not None:
+                report.jobs.append({key: job[key] for key in summary})
         if len(set(done_profiles)) != len(done_profiles):
             report.problems.append(
                 "duplicated work: two jobs share a stored profile id "
@@ -239,9 +229,7 @@ def run_chaos(
                 for violation in profile.invariant_violations()
             )
             if verify_counters:
-                mismatch = _replay_counters(
-                    execute_job, final[entry["id"]], profile.fault_counters
-                )
+                mismatch = _replay_counters(final[entry["id"]], profile.fault_counters)
                 if mismatch:
                     report.counter_mismatches.append(f"{entry['id']}: {mismatch}")
 
@@ -904,9 +892,7 @@ def run_reshard_chaos(
     return report
 
 
-def _replay_counters(
-    execute_job, job: Dict, stored_counters: Dict[str, int]
-) -> Optional[str]:
+def _replay_counters(job: Dict, stored_counters: Dict[str, int]) -> Optional[str]:
     """Re-run the job's final attempt in-process; compare fault counters.
 
     The simulated runtime and the injector PRNG are both deterministic,
@@ -915,16 +901,9 @@ def _replay_counters(
     counters; they are store/daemon accounting).
     """
     from repro.core.profile_data import ProfileData
+    from repro.serve.jobs import Job, execute_job
 
-    payload = {
-        "workload": job["workload"],
-        "profiler": job["profiler"],
-        "mode": job["mode"],
-        "scale": job["scale"],
-        "config": job["config"],
-        "faults": job["faults"],
-        "attempt": job["attempts"],  # past the scheduled crashes
-    }
+    payload = Job.from_dict(job).payload()  # its attempt is past the crashes
     expected = ProfileData.from_json(execute_job(payload)).fault_counters
     if expected != stored_counters:
         return f"stored {stored_counters} != replayed {expected}"

@@ -16,9 +16,10 @@
 * The daemon process is the store's only writer: worker results are
   persisted on arrival, keyed by
   ``(workload, profiler, config hash, git tree hash)``.
-* Jobs live in a :class:`~repro.serve.jobs.JobTable`, as the gateway's
-  ledger does: a ``submit_key`` dedupes resubmissions, and a terminal
-  job leaves, key and all, under the retention rule both roles share.
+* Jobs are :class:`~repro.serve.jobs.Job` records in a
+  :class:`~repro.serve.jobs.JobTable`, as on the gateway: a
+  ``submit_key`` dedupes resubmissions, and a terminal job leaves, key
+  and all, under the retention rule both roles share.
 * The API is a route table on the shared :mod:`repro.serve.httpapi`
   server (the gateway runs the same one); profile payloads render
   through the existing :mod:`repro.ui` backends (``render_json`` /
@@ -339,12 +340,12 @@ class ProfileDaemon:
             prior = self._jobs.find(submit_key)
         if prior is not None:
             return prior
-        job = new_job(payload)
+        job = new_job(payload, submit_key)
         with self._lock:
             prior = self._jobs.find(submit_key)
             if prior is not None:
                 return prior
-            self._jobs.add(job.id, job, submit_key)
+            self._jobs.add(job)
         self._queue.put(job.id)
         return job
 
@@ -574,7 +575,7 @@ class ProfileDaemon:
                 return False
             job.status = "running"
             job.attempts += 1
-            job.started_at = time.time()
+            job.timeline["started"] = time.time()
             payload = job.payload()
         try:
             future = self._pool.submit(execute_job, payload)
@@ -750,15 +751,15 @@ class ProfileDaemon:
     ) -> None:
         """Make ``job`` terminal: the one finish path (lock held).
 
-        Stamps ``finished_at`` and logs the finish in the job table,
+        Stamps ``finished`` and logs the finish in the job table,
         which wakes every ``GET /jobs?since=`` long-poll, so the gateway
         hears of it at once, and applies retention.
         """
         job.status = status
         job.error = error
         job.profile_id = profile_id
-        job.finished_at = time.time()
-        self._jobs.finish(job.id, job.finished_at)
+        job.timeline["finished"] = at = time.time()
+        self._jobs.finish(job.id, at)
 
     # -- pool-break incident handling ------------------------------------
 

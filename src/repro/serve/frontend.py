@@ -23,11 +23,13 @@ the same :mod:`~repro.serve.httpapi` server the shards use:
   found: a job dispatched to the shard before the request went out and
   missing from its table is requeued.
 * **Durable acceptance** — every accepted job lives in the gateway
-  ledger until a shard reports it terminal. With a
+  ledger, a :class:`~repro.serve.jobs.Job` under its gw id, until a
+  shard reports it terminal. With a
   :class:`~repro.serve.wal.WriteAheadLog` attached, the ledger survives
-  the gateway itself: every transition (accept → dispatch → terminal)
-  is appended to the checksummed log **before** the client hears 202,
-  and a restarted gateway replays checkpoint + log, requeues every
+  the gateway itself: the accept is appended to the checksummed log
+  **before** the client hears 202, each later transition is the logged
+  record that :func:`_transition` applies live and on replay alike, and
+  a restarted gateway replays checkpoint + log, requeues every
   non-terminal job, and dispatches the backlog — ``kill -9`` mid-burst
   loses nothing. If a shard dies, its watcher's failed request marks it
   down on the router and re-dispatches that shard's non-terminal jobs to
@@ -72,7 +74,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ServeError, StoreError
 from repro.serve.client import ServeClient, query_path
@@ -90,6 +92,7 @@ from repro.serve.jobs import (
     TERMINAL,
     TERMINAL_RETENTION_MAX,
     TERMINAL_RETENTION_S,
+    Job,
     JobTable,
     new_job,
     pop_submit_key,
@@ -157,10 +160,10 @@ class ServeFrontend:
         #: gw ids accepted but not yet flushed to a shard.
         self._pending: List[str] = []
         self._batch_event = threading.Event()
-        #: shard -> {shard job id: gw id} for every record dispatched
-        #: there and not yet terminal, so matching a watcher's answer
-        #: costs the answer's size, not the ledger's.
-        self._in_flight: Dict[str, Dict[str, str]] = {}
+        #: shard -> {shard job id: (gw id, monotonic dispatch time)} for
+        #: every record dispatched there and not yet terminal, so matching
+        #: a watcher's answer costs the answer's size, not the ledger's.
+        self._in_flight: Dict[str, Dict[str, Tuple[str, float]]] = {}
         #: shard -> its watcher thread (see :meth:`_watch`).
         self._watchers: Dict[str, threading.Thread] = {}
         #: shard -> the lock a submit to it holds until its dispatch is
@@ -289,10 +292,10 @@ class ServeFrontend:
         exactly-once via content addressing.
         """
         checkpoint = self.wal.load_checkpoint() or {}
-        ledger: Dict[str, Dict] = {}
+        ledger: Dict[str, Job] = {}
         for gw_id, record in (checkpoint.get("ledger") or {}).items():
             if isinstance(record, dict) and record.get("id") == gw_id:
-                ledger[gw_id] = dict(record)
+                ledger[gw_id] = Job.from_dict(record)
         records = self.wal.replay()
         for op in records:
             self._apply_wal_record(op, ledger)
@@ -309,23 +312,20 @@ class ServeFrontend:
         self._gw_next = next_gw
         if not ledger and not records:
             return
-        requeued = 0
+        unfinished = sorted(
+            gw_id for gw_id, record in ledger.items() if record.status not in TERMINAL
+        )
+        requeued = sum(ledger[gw_id].status != "accepted" for gw_id in unfinished)
+        _transition(ledger, {"op": "requeue", "ids": unfinished})
         with self._lock:
             for gw_id in sorted(ledger):
-                record = ledger[gw_id]
-                self.ledger.add(gw_id, record, record.get("submit_key") or None)
-                if record.get("status") not in TERMINAL:
-                    if record.get("status") != "accepted":
-                        requeued += 1
-                    record["status"] = "accepted"
-                    record["shard"] = None
-                    record["shard_job_id"] = None
-                    self._pending.append(gw_id)
+                self.ledger.add(ledger[gw_id])
+            self._pending.extend(unfinished)
             # In finish order, so that the cap keeps the newest.
             for at, gw_id in sorted(
-                (record.get("terminal_at") or record["accepted_at"], gw_id)
+                (record.timeline.get("terminal") or record.timeline["accepted"], gw_id)
                 for gw_id, record in ledger.items()
-                if record.get("status") in TERMINAL
+                if record.status in TERMINAL
             ):
                 self.stats["evicted_terminal"] += self.ledger.finish(gw_id, at)
         self.stats["recovered"] = len(ledger)
@@ -333,35 +333,14 @@ class ServeFrontend:
         self._batch_event.set()
 
     @staticmethod
-    def _apply_wal_record(op: Dict, ledger: Dict[str, Dict]) -> None:
-        """Fold one replayed WAL record into ``ledger`` (idempotent)."""
-        kind = op.get("op")
-        if kind == "accept":
-            record = op.get("record")
-            if isinstance(record, dict) and record.get("id"):
-                ledger[record["id"]] = dict(record)
-            return
-        record = ledger.get(op.get("id", ""))
-        if kind == "dispatch":
-            if record is not None and record.get("status") not in TERMINAL:
-                record["status"] = "dispatched"
-                record["shard"] = op.get("shard")
-                record["shard_job_id"] = op.get("shard_job_id")
-        elif kind == "terminal":
-            if record is not None and op.get("status") in TERMINAL:
-                record["status"] = op["status"]
-                record["profile_id"] = op.get("profile_id")
-                record["error"] = op.get("error")
-                record["terminal_at"] = op.get("at")
-                record["payload"] = None
-        elif kind == "requeue":
-            for gw_id in op.get("ids", ()):
-                queued = ledger.get(gw_id)
-                if queued is not None and queued.get("status") not in TERMINAL:
-                    queued["status"] = "accepted"
-                    queued["shard"] = None
-                    queued["shard_job_id"] = None
-        # Unknown ops (e.g. "reshard" markers) are observability-only.
+    def _apply_wal_record(op: Dict, ledger: Dict[str, Job]) -> None:
+        """Fold one replayed WAL record into ``ledger`` (idempotent): an
+        accept inserts its record, and any other is a :func:`_transition`."""
+        record = op.get("record")
+        if op.get("op") != "accept":
+            _transition(ledger, op)
+        elif isinstance(record, dict) and record.get("id"):
+            ledger[record["id"]] = Job.from_dict(record)
 
     def _snapshot(self) -> Dict:
         """The checkpoint payload for the current ledger."""
@@ -369,7 +348,7 @@ class ServeFrontend:
             return {
                 "format": 1,
                 "next_gw": self._gw_next,
-                "ledger": {gw: dict(r) for gw, r in self.ledger.items()},
+                "ledger": {gw: record.to_dict() for gw, record in self.ledger.items()},
             }
 
     def _wal_append(self, op: Dict) -> None:
@@ -427,17 +406,16 @@ class ServeFrontend:
         if prior is None:
             return None
         self.stats["deduped"] += 1
-        return {**_public(prior), "deduped": True}
+        return {**prior.to_dict(), "deduped": True}
 
     def _accept_job(self, body: bytes) -> Dict:
-        # The idempotency key is gateway state, not job state: shards
-        # run the job the key names, they don't dedupe on it here.
+        # The key stays here: the submission a shard gets carries none.
         payload, submit_key = pop_submit_key(json_object(body))
         with self._lock:
             deduped = self._dedupe_locked(submit_key)
         if deduped is not None:
             return deduped
-        probe = new_job(payload)  # full validation; the probe id is discarded
+        job = new_job(payload, submit_key)  # full validation
         with self._wal_gate:
             # The gate spans dedupe re-check → WAL append → ledger
             # insert. The re-check closes the check-then-act window two
@@ -452,23 +430,10 @@ class ServeFrontend:
                 # Accepts run on concurrent request threads — the
                 # sequence allocation must be atomic or two of them
                 # mint the same gw id.
-                gw_id = f"gw-{self._gw_next:08d}"
+                job.id = f"gw-{self._gw_next:08d}"
                 self._gw_next += 1
-            record = {
-                "id": gw_id,
-                "workload": probe.workload,
-                "profiler": probe.profiler,
-                "config_hash": probe.config_hash,
-                "status": "accepted",
-                "shard": None,
-                "shard_job_id": None,
-                "profile_id": None,
-                "error": None,
-                "accepted_at": time.time(),
-                "terminal_at": None,
-                "submit_key": submit_key,
-                "payload": payload,
-            }
+            job.status, job.timeline = "accepted", {"accepted": time.time()}
+            record = job.to_dict()
             if self.wal is not None:
                 # Strict: 202 *means* durable. A failed append (torn
                 # write, full disk) refuses the job so the client knows
@@ -480,16 +445,16 @@ class ServeFrontend:
                         self.stats["wal_append_failures"] += 1
                     raise ServeError(f"job not accepted: {exc}") from None
             with self._lock:
-                self.ledger.add(gw_id, record, submit_key)
-                self._pending.append(gw_id)
+                self.ledger.add(job)
+                self._pending.append(job.id)
                 self.stats["accepted"] += 1
         self._batch_event.set()
-        return _public(record)
+        return record
 
     def _jobs_listing(self, query: Dict) -> Dict:
         limit, offset = page_params(query)
         with self._lock:
-            records = [_public(r) for r in self.ledger.values()]
+            records = [record.to_dict() for record in self.ledger.values()]
         return {
             "jobs": paginate(records, limit, offset),
             "counts": dict(Counter(record["status"] for record in records)),
@@ -498,7 +463,7 @@ class ServeFrontend:
 
     def _health(self) -> Dict:
         with self._lock:
-            counts = dict(Counter(record["status"] for record in self.ledger.values()))
+            counts = dict(Counter(record.status for record in self.ledger.values()))
             pending = len(self._pending)
             stats = dict(self.stats)
             ledger_size = len(self.ledger)
@@ -547,12 +512,10 @@ class ServeFrontend:
         with self._lock:
             for gw_id in batch:
                 record = self.ledger.get(gw_id)
-                if record is None or record["status"] in TERMINAL:
+                if record is None or record.status in TERMINAL:
                     continue
                 try:
-                    shard, _ = self.router.route(
-                        record["workload"], record["config_hash"]
-                    )
+                    shard, _ = self.router.route(record.workload, record.config_hash)
                 except ServeError:
                     unroutable.append(gw_id)
                     continue
@@ -571,46 +534,44 @@ class ServeFrontend:
 
     def _flush_to_shard(self, shard: str, gw_ids: List[str]) -> None:
         client = self._client(shard)
-        for gw_id in gw_ids:
+        for n, gw_id in enumerate(gw_ids):
             if self._stop_event.is_set():
                 return  # abandon the flush; the ledger keeps the backlog
             with self._lock:
                 record = self.ledger.get(gw_id)
-                if record is None or record["status"] in TERMINAL:
+                if record is None or record.status in TERMINAL:
                     continue
-                payload = dict(record["payload"])
+                submission = record.submission()
             # The job can finish before its dispatch is recorded; holding
             # the gate keeps the shard's watcher from applying that report
             # until the record is there to take it.
             with self._gate(shard):
                 try:
-                    job = client._request("/jobs", body=payload)["job"]
+                    job = client._request("/jobs", body=submission)["job"]
                 except ServeError as exc:
-                    self._shard_trouble(shard, gw_ids=[gw_id], reason=str(exc))
+                    # Requeue the rest of the batch with it: no longer
+                    # pending, they would be dispatched by no one.
+                    self._shard_trouble(shard, gw_ids=gw_ids[n:], reason=str(exc))
                     return
                 self._record_dispatch(shard, gw_id, job["id"])
 
     def _record_dispatch(self, shard: str, gw_id: str, shard_job_id: str) -> None:
         """Mark a record dispatched to ``shard`` (under the shard's gate).
 
-        ``dispatched_at`` is the job's timeline stamp, on the wall clock
-        like ``accepted_at``; ``dispatched_mono`` orders the dispatch
-        against a watcher's request (see :meth:`_apply_changes`), which
-        a wall-clock step must not reorder.
+        The record's ``at`` is the job's ``dispatched`` stamp, on the wall
+        clock like ``accepted``; the monotonic stamp in ``_in_flight``
+        orders the dispatch against a watcher's request (see
+        :meth:`_apply_changes`), which a wall-clock step must not reorder.
         """
+        op = {"op": "dispatch", "id": gw_id, "shard": shard,
+              "shard_job_id": shard_job_id, "at": time.time()}
         with self._lock:
-            record = self.ledger.get(gw_id)
-            if record is not None:
-                record["status"] = "dispatched"
-                record["shard"] = shard
-                record["shard_job_id"] = shard_job_id
-                record["dispatched_at"] = time.time()
-                record["dispatched_mono"] = time.monotonic()
-                self._in_flight.setdefault(shard, {})[shard_job_id] = gw_id
+            if _transition(self.ledger, op):
+                self._in_flight.setdefault(shard, {})[shard_job_id] = (
+                    gw_id, time.monotonic()
+                )
                 self.stats["dispatched"] += 1
-        self._wal_append(
-            {"op": "dispatch", "id": gw_id, "shard": shard, "shard_job_id": shard_job_id}
-        )
+        self._wal_append(op)
 
     def _gate(self, shard: str) -> threading.Lock:
         with self._lock:
@@ -618,7 +579,7 @@ class ServeFrontend:
 
     def _dispatched_locked(self, shard: str) -> List[str]:
         """The gw ids in flight on ``shard`` (caller holds ``_lock``)."""
-        return list(self._in_flight.get(shard, {}).values())
+        return [gw_id for gw_id, _ in self._in_flight.get(shard, {}).values()]
 
     def _requeue_locked(self, gw_ids: Iterable[str]) -> List[str]:
         """Send records back to ``accepted`` for re-dispatch.
@@ -629,12 +590,10 @@ class ServeFrontend:
         requeued = sorted(gw_ids)
         for gw_id in requeued:
             record = self.ledger[gw_id]
-            self._in_flight.get(record["shard"], {}).pop(record["shard_job_id"], None)
-            record["status"] = "accepted"
-            record["shard"] = None
-            record["shard_job_id"] = None
-            self._pending.append(gw_id)
-            self.stats["redispatched"] += 1
+            self._in_flight.get(record.shard, {}).pop(record.shard_job_id, None)
+        _transition(self.ledger, {"op": "requeue", "ids": requeued})
+        self._pending.extend(requeued)
+        self.stats["redispatched"] += len(requeued)
         return requeued
 
     def _shard_trouble(
@@ -725,33 +684,25 @@ class ServeFrontend:
                 listed = {job["id"] for job in answer["jobs"]}
                 lost = [
                     gw_id
-                    for job_id, gw_id in in_flight.items()
-                    if job_id not in listed
-                    and self.ledger[gw_id]["dispatched_mono"] < sent_at
+                    for job_id, (gw_id, dispatched) in in_flight.items()
+                    if job_id not in listed and dispatched < sent_at
                 ]
             for job in answer["jobs"]:
                 if job["status"] in TERMINAL and job["id"] in in_flight:
-                    record = self.ledger[in_flight.pop(job["id"])]
-                    record["status"] = job["status"]
-                    record["profile_id"] = job.get("profile_id")
-                    record["error"] = job.get("error")
-                    record["terminal_at"] = time.time()
-                    # The payload will never be re-dispatched again;
-                    # dropping it bounds per-record memory.
-                    record["payload"] = None
+                    gw_id, _ = in_flight.pop(job["id"])
+                    op = {
+                        "op": "terminal",
+                        "id": gw_id,
+                        "status": job["status"],
+                        "profile_id": job.get("profile_id"),
+                        "error": job.get("error"),
+                        "at": time.time(),
+                    }
+                    _transition(self.ledger, op)
                     self.stats["evicted_terminal"] += self.ledger.finish(
-                        record["id"], record["terminal_at"]
+                        gw_id, op["at"]
                     )
-                    transitions.append(
-                        {
-                            "op": "terminal",
-                            "id": record["id"],
-                            "status": record["status"],
-                            "profile_id": record["profile_id"],
-                            "error": record["error"],
-                            "at": record["terminal_at"],
-                        }
-                    )
+                    transitions.append(op)
             requeued = self._requeue_locked(lost)
         for op in transitions:
             self._wal_append(op)
@@ -1066,9 +1017,9 @@ def _routes(gateway: ServeFrontend) -> Routes:
     def job(request: Request) -> Dict:
         with gateway._lock:
             record = gateway.ledger.get(request.parts[1])
-        if record is None:
-            raise HttpError(404, f"unknown gateway job {request.parts[1]!r}")
-        return {"job": dict(record)}
+            if record is not None:
+                return {"job": record.to_dict()}
+        raise HttpError(404, f"unknown gateway job {request.parts[1]!r}")
 
     return {
         # Submission is a ledger append with no shard I/O, so accept
@@ -1113,9 +1064,37 @@ def _shard_read(read):
     return handler
 
 
-def _public(record: Dict) -> Dict:
-    """A ledger record as clients see it: without the job payload or the
-    gateway-local ``dispatched_mono`` stamp."""
-    return {
-        k: v for k, v in record.items() if k not in ("payload", "dispatched_mono")
-    }
+def _transition(records: Mapping[str, Job], op: Dict) -> List[Job]:
+    """Apply a ``dispatch``, ``terminal`` or ``requeue`` WAL record ``op``
+    to the non-terminal records it names; returns them.
+
+    The one place these transitions change a record: the live paths
+    apply the record they then log, and replay the logged one. A
+    dispatch or a terminal stamps its stage with ``at``; a requeue keeps
+    the stamps. Other ops (``reshard`` markers) change nothing.
+    """
+    kind = op.get("op")
+    if kind not in ("dispatch", "terminal", "requeue") or (
+        kind == "terminal" and op.get("status") not in TERMINAL
+    ):
+        return []
+    ids = op.get("ids", ()) if kind == "requeue" else (op.get("id"),)
+    changed = [
+        record
+        for record in map(records.get, ids)
+        if record is not None and record.status not in TERMINAL
+    ]
+    at = op.get("at")  # absent from dispatches logged before it was added
+    for record in changed:
+        if kind == "dispatch":
+            record.status = "dispatched"
+            record.shard, record.shard_job_id = op.get("shard"), op.get("shard_job_id")
+            if at is not None:
+                record.timeline["dispatched"] = at
+        elif kind == "terminal":
+            record.status = op["status"]
+            record.profile_id, record.error = op.get("profile_id"), op.get("error")
+            record.timeline["terminal"] = at
+        else:
+            record.status, record.shard, record.shard_job_id = "accepted", None, None
+    return changed

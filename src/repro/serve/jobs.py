@@ -2,8 +2,10 @@
 
 A job is ``workload + profiler + config``; :attr:`Job.config_hash` is the
 config half of the key that routes it and indexes its profile.
-:class:`JobTable` is where both serve roles keep their job records (the
-shard its :class:`Job` records, the gateway its ledger dicts): one submit-key
+:class:`Job` is the one record both serve roles keep, the shard for the
+job it runs and the gateway for the job it accepted, and :meth:`Job.to_dict`
+its one public form: HTTP answers, WAL records and checkpoints.
+:class:`JobTable` is where each role keeps its records: one submit-key
 map and one finish log under one retention rule. :func:`execute_job` is the
 worker-side entry point — a module-level function taking and returning
 only picklable primitives, so it crosses the multiprocessing boundary:
@@ -26,7 +28,7 @@ import time
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import ScaleneConfig
 from repro.core.profile_data import FunctionReport, LineReport, ProfileData
@@ -37,13 +39,22 @@ from repro.serve.store import config_hash
 TERMINAL = ("done", "error")
 JOB_STATUSES = ("queued", "running") + TERMINAL
 
+#: The fields a submission may carry: what a client posts, and what the
+#: gateway posts to a shard.
+SUBMISSION = ("workload", "profiler", "mode", "scale", "config", "faults", "timeout_s")
+
 _job_counter = itertools.count(1)
 _job_counter_lock = threading.Lock()
 
 
 @dataclass
 class Job:
-    """One profiling job and its lifecycle state."""
+    """One profiling job, on a shard (``queued`` → ``running`` →
+    ``done``/``error``) or on the gateway (``accepted`` → ``dispatched``
+    → ``done``/``error``). :attr:`timeline` holds the last wall-clock
+    stamp of each stage reached: the shard's ``submitted``, ``started``
+    and ``finished``, the gateway's ``accepted``, ``dispatched`` and
+    ``terminal``."""
 
     id: str
     workload: str
@@ -57,10 +68,11 @@ class Job:
     #: Optional per-job wall-clock budget; the daemon's default applies
     #: when None.
     timeout_s: Optional[float] = None
+    #: The config half of the routing key: the hash the store indexes the
+    #: job's profile under, so the job routes to its profile's shard.
+    config_hash: str = ""
+    submit_key: Optional[str] = None
     status: str = "queued"
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
     profile_id: Optional[str] = None
     error: Optional[str] = None
     #: Times this job was handed to a worker (first run plus retries).
@@ -68,36 +80,51 @@ class Job:
     #: Times this job was requeued because a pool-break incident (worker
     #: crash or hung-worker recycle) took its worker down mid-flight.
     crash_requeues: int = 0
+    #: On the gateway: the shard the job is dispatched to, and its id there.
+    shard: Optional[str] = None
+    shard_job_id: Optional[str] = None
+    timeline: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
+        """The public form: every field, a stage not yet reached absent."""
+        record = dict(self.__dict__)
+        # Iterate a copy: a reader without the role's lock may run this
+        # while the role stamps a stage.
+        for stage, at in record.pop("timeline").copy().items():
+            record[f"{stage}_at"] = at
+        return record
 
-    @property
-    def config_hash(self) -> str:
-        """The config half of the routing key: the hash the store indexes
-        the job's profile under, so the job routes to its profile's shard."""
-        return config_hash(
-            {"mode": self.mode, "scale": self.scale, "overrides": self.config or {}}
-        )
+    @classmethod
+    def from_dict(cls, record: Dict) -> "Job":
+        """The inverse of :meth:`to_dict`. It also reads the gateway's
+        earlier record form, which kept the submission under ``payload``
+        (``None`` once terminal) and a local ``dispatched_mono`` stamp."""
+        fields = {**(record.get("payload") or {}), **record}
+        job = cls(**{name: value for name, value in fields.items() if name in _FIELDS})
+        job.timeline = {
+            name[:-3]: at
+            for name, at in fields.items()
+            if name.endswith("_at") and at is not None
+        }
+        return job
+
+    def submission(self) -> Dict:
+        """The job as a submission payload (see :data:`SUBMISSION`)."""
+        return {name: getattr(self, name) for name in SUBMISSION}
 
     def payload(self) -> Dict:
         """The picklable worker input."""
-        return {
-            "workload": self.workload,
-            "profiler": self.profiler,
-            "mode": self.mode,
-            "scale": self.scale,
-            "config": self.config,
-            "faults": self.faults,
-            "attempt": self.attempts,
-        }
+        return {**self.submission(), "attempt": self.attempts}
+
+
+_FIELDS = frozenset(f.name for f in dataclasses.fields(Job)) - {"timeline"}
 
 
 def pop_submit_key(payload: Dict) -> Tuple[Dict, Optional[str]]:
     """Split a submission into its job payload and its ``submit_key``.
 
-    The key is the client's idempotency key: service state that never
-    reaches :func:`new_job` or a worker.
+    The key is the client's idempotency key: the job table dedupes on
+    it, and it never reaches a shard or a worker.
     """
     if not isinstance(payload, dict) or "submit_key" not in payload:
         return payload, None
@@ -116,10 +143,10 @@ TERMINAL_RETENTION_MAX = 10000
 
 
 class JobTable(Mapping):
-    """One serve role's job records by id, their submit keys, one finish log.
+    """One serve role's :class:`Job` records by id, their submit keys, one
+    finish log.
 
-    The shard keeps its :class:`Job` records here, the gateway its ledger
-    dicts. :meth:`finish` numbers each finish (the shard's change cursor)
+    :meth:`finish` numbers each finish (the shard's change cursor)
     and wakes the waiters on :attr:`changed`. The log is in finish order,
     so retention evicts at its head, O(1) per eviction, at each finish and
     monitor tick (:meth:`evict`): records finished more than
@@ -135,17 +162,16 @@ class JobTable(Mapping):
 
     def __init__(self, lock) -> None:
         self.changed = threading.Condition(lock)
-        self._records: Dict[str, Any] = {}
-        #: submit key -> record id, and back for eviction.
+        self._records: Dict[str, Job] = {}
+        #: submit key -> record id.
         self._keys: Dict[str, str] = {}
-        self._key_of: Dict[str, str] = {}
         #: ``(change, record id, finished at)``, oldest first.
         self._log: "deque[Tuple[int, str, float]]" = deque()
         #: The last change number given out, and the last one evicted.
         self.seq = 0
         self.floor = 0
 
-    def __getitem__(self, record_id: str):
+    def __getitem__(self, record_id: str) -> Job:
         return self._records[record_id]
 
     def __iter__(self) -> Iterator[str]:
@@ -157,16 +183,15 @@ class JobTable(Mapping):
     def values(self):
         return self._records.values()
 
-    def find(self, submit_key: Optional[str]):
+    def find(self, submit_key: Optional[str]) -> Optional[Job]:
         """The record ``submit_key`` named, or ``None`` if it is new."""
         record_id = self._keys.get(submit_key)
         return None if record_id is None else self._records[record_id]
 
-    def add(self, record_id: str, record, submit_key: Optional[str] = None) -> None:
-        self._records[record_id] = record
-        if submit_key is not None:
-            self._keys[submit_key] = record_id
-            self._key_of[record_id] = submit_key
+    def add(self, record: Job) -> None:
+        self._records[record.id] = record
+        if record.submit_key is not None:
+            self._keys[record.submit_key] = record.id
 
     def finish(self, record_id: str, at: float) -> int:
         """Log that ``record_id`` finished at wall-clock ``at``, then apply
@@ -197,14 +222,17 @@ class JobTable(Mapping):
             ):
                 break
             self._log.popleft()
-            del self._records[record_id]
-            self._keys.pop(self._key_of.pop(record_id, None), None)
+            key = self._records.pop(record_id).submit_key
+            # Recovery can bring back an evicted record whose key a newer
+            # record has since taken.
+            if self._keys.get(key) == record_id:
+                del self._keys[key]
             self.floor = seq
             evicted += 1
         return evicted
 
 
-def new_job(payload: Dict) -> Job:
+def new_job(payload: Dict, submit_key: Optional[str] = None) -> Job:
     """Validate a submission payload and build a queued :class:`Job`.
 
     Validation happens here, in the daemon process, so a bad submission
@@ -216,9 +244,7 @@ def new_job(payload: Dict) -> Job:
 
     if not isinstance(payload, dict):
         raise ServeError("job payload must be a JSON object")
-    unknown = set(payload) - {
-        "workload", "profiler", "mode", "scale", "config", "faults", "timeout_s",
-    }
+    unknown = set(payload) - set(SUBMISSION)
     if unknown:
         raise ServeError(f"unknown job fields: {sorted(unknown)}")
     workload = payload.get("workload")
@@ -237,6 +263,7 @@ def new_job(payload: Dict) -> Job:
     scale = payload.get("scale", 1.0)
     if not isinstance(scale, (int, float)) or scale <= 0:
         raise ServeError(f"scale must be a positive number, got {scale!r}")
+    scale = float(scale)
     config = payload.get("config")
     if config is not None:
         if not isinstance(config, dict):
@@ -264,11 +291,15 @@ def new_job(payload: Dict) -> Job:
         workload=workload,
         profiler=profiler,
         mode=mode,
-        scale=float(scale),
+        scale=scale,
         config=config,
         faults=faults,
         timeout_s=float(timeout_s) if timeout_s is not None else None,
-        submitted_at=time.time(),
+        config_hash=config_hash(
+            {"mode": mode, "scale": scale, "overrides": config or {}}
+        ),
+        submit_key=submit_key,
+        timeline={"submitted": time.time()},
     )
 
 

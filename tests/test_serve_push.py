@@ -12,6 +12,7 @@ never runs, so whatever reaches the ledger came through a watcher.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -131,6 +132,47 @@ def test_shard_table_evicts_terminal_jobs_past_the_age_limit(tmp_path, monkeypat
     assert daemon._jobs.floor == 1
 
 
+def test_a_record_reads_while_its_stamps_change():
+    # A shard's GET /jobs routes build to_dict() without the daemon's
+    # lock while the dispatcher and the finish path stamp stages.
+    jobs = [new_job(dict(PAYLOAD)) for _ in range(4)]
+    stop = threading.Event()
+    errors = []
+
+    def stamp(job):
+        while not stop.is_set():
+            job.timeline["started"] = time.time()
+            time.sleep(0)
+            del job.timeline["started"]
+
+    def read(job):
+        while not stop.is_set():
+            try:
+                job.to_dict()
+            except RuntimeError as exc:
+                errors.append(exc)
+                stop.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=role, args=(job,))
+            for job in jobs
+            for role in (stamp, read)
+        ]
+        for thread in threads:
+            thread.start()
+        stop.wait(3.0)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
 # -- the gateway's watchers --------------------------------------------
 
 
@@ -156,8 +198,42 @@ def test_a_finished_job_reaches_the_gateway_without_polling(push_plane):
     done = _finish(ServeClient(gateway.url))
     assert done["status"] == "done" and done["profile_id"]
     shard_job = plane.daemons[SHARD].job(done["shard_job_id"])
-    assert done["terminal_at"] - shard_job.finished_at < 1.0
+    assert done["terminal_at"] - shard_job.timeline["finished"] < 1.0
     assert done["dispatched_at"] <= done["terminal_at"]
+
+
+def test_every_gateway_answer_is_the_one_public_record(push_plane):
+    plane, gateway = push_plane
+    gateway.start()
+    client = ServeClient(gateway.url)
+    accepted = client.submit("pprint", mode="cpu", scale=0.05)
+    done = client.wait(accepted["id"], timeout=60.0, poll=0.01)
+    [listed] = [job for job in client.jobs() if job["id"] == accepted["id"]]
+    assert listed == done
+    # A stage not yet reached is absent, so the accept answer lacks two.
+    assert set(done) == set(accepted) | {"dispatched_at", "terminal_at"}
+    for answer in (accepted, listed, done):
+        assert not {"payload", "dispatched_mono"} & set(answer), answer
+
+
+def test_a_recovered_finished_job_keeps_its_dispatch_stamp(push_plane, tmp_path):
+    plane, _ = push_plane
+    wal = tmp_path / "wal"
+    gateway = ServeFrontend(plane.router, poll_interval_s=3600.0, wal=wal)
+    gateway.start()
+    done = _finish(ServeClient(gateway.url))
+    deadline = time.monotonic() + 10.0
+    while gateway.wal.records_since_checkpoint < 3:  # accept, dispatch, terminal
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    gateway.kill()
+    recovered = ServeFrontend(plane.router, poll_interval_s=3600.0, wal=wal)
+    recovered.start()
+    try:
+        again = ServeClient(recovered.url).job(done["id"])
+    finally:
+        recovered.stop()
+    assert again == done and "dispatched_at" in again
 
 
 def test_a_completion_reported_before_its_dispatch_is_recorded_is_kept(
@@ -217,7 +293,7 @@ def test_a_full_answer_older_than_a_dispatch_does_not_requeue_it(
     monkeypatch.setattr(ServeClient, "jobs_since", dispatch_in_flight)
     gateway._watch_once(SHARD, ("", 0))
     [gw_id] = dispatched
-    assert gateway.ledger[gw_id]["status"] == "dispatched"
+    assert gateway.ledger[gw_id].status == "dispatched"
     assert gateway.stats["redispatched"] == 0
 
 
@@ -226,13 +302,13 @@ def test_a_revived_shard_answers_full_and_its_lost_job_is_requeued(push_plane):
     old_boot, seq = gateway._watch_once(SHARD, ("", 0))
     gw_id = _accept(gateway, scale=0.5)
     gateway._flush_pending()
-    assert gateway.ledger[gw_id]["status"] == "dispatched"
+    assert gateway.ledger[gw_id].status == "dispatched"
     plane.kill(SHARD)
     revived = plane.revive(SHARD)
 
     cursor = gateway._watch_once(SHARD, (old_boot, seq))
     assert cursor == (revived.boot_id, 0) and revived.boot_id != old_boot
-    assert gateway.ledger[gw_id]["status"] == "accepted"
+    assert gateway.ledger[gw_id].status == "accepted"
     assert gateway.stats["redispatched"] == 1
 
     gateway.start()  # dispatches the requeued job to the revived shard
@@ -282,7 +358,7 @@ def test_status_traffic_per_job_ignores_the_shard_history(push_plane, monkeypatc
     with daemon._lock:
         for _ in range(300):
             job = new_job(dict(PAYLOAD))
-            daemon._jobs.add(job.id, job)
+            daemon._jobs.add(job)
             daemon._finish_locked(job, "done", profile_id="0" * 64)
     assert len(daemon.jobs()) > 300
     loaded = bytes_per_job()

@@ -32,8 +32,10 @@ from repro.faults import FaultInjector, FaultSpec
 from repro.serve import frontend as frontend_module
 from repro.serve import jobs as jobs_module
 from repro.serve import wal as wal_module
+from repro.serve.client import ServeClient
 from repro.serve.daemon import ProfileDaemon
 from repro.serve.frontend import ServeFrontend
+from repro.serve.jobs import Job
 from repro.serve.router import ShardRouter, shard_key
 from repro.serve.wal import WriteAheadLog
 
@@ -201,13 +203,13 @@ def test_recovery_requeues_every_non_terminal_job(frontend_factory, tmp_path):
     # Non-terminal records requeue to accepted — even "dispatched" ones:
     # a restarted shard may have reused the shard_job_id, so the old
     # dispatch state cannot be trusted.
-    assert frontend.ledger["gw-00000001"]["status"] == "accepted"
-    assert frontend.ledger["gw-00000002"]["status"] == "accepted"
-    assert frontend.ledger["gw-00000002"]["shard"] is None
-    assert frontend.ledger["gw-00000003"]["status"] == "done"
-    assert frontend.ledger["gw-00000003"]["profile_id"] == "p3"
+    assert frontend.ledger["gw-00000001"].status == "accepted"
+    assert frontend.ledger["gw-00000002"].status == "accepted"
+    assert frontend.ledger["gw-00000002"].shard is None
+    assert frontend.ledger["gw-00000003"].status == "done"
+    assert frontend.ledger["gw-00000003"].profile_id == "p3"
     assert sorted(frontend._pending) == ["gw-00000001", "gw-00000002"]
-    assert frontend.ledger.find("k1")["id"] == "gw-00000001"
+    assert frontend.ledger.find("k1").id == "gw-00000001"
     assert frontend.stats["recovered"] == 3
     assert frontend.stats["recovered_requeued"] == 1  # only the dispatched one
     assert frontend._gw_next == 4  # ids never recycle
@@ -232,7 +234,7 @@ def test_recovery_converges_when_log_overlaps_checkpoint(
     frontend = frontend_factory()
     frontend._recover()
     assert list(frontend.ledger) == ["gw-00000001"]
-    assert frontend.ledger["gw-00000001"]["status"] == "done"
+    assert frontend.ledger["gw-00000001"].status == "done"
     assert frontend._pending == []
     assert frontend._gw_next == 2
 
@@ -319,6 +321,19 @@ def _finish(frontend, gw_id, shard="s0"):
     )
 
 
+def test_a_failed_flush_requeues_the_rest_of_its_batch(frontend_factory, monkeypatch):
+    def refused(client, path, body=None, **kwargs):
+        raise ServeError("connection refused")
+
+    monkeypatch.setattr(ServeClient, "_request", refused)
+    frontend = frontend_factory()
+    ids = [_accept(frontend) for _ in range(3)]  # one key: one shard's batch
+    frontend._flush_pending()
+    assert frontend._pending == ids
+    assert [frontend.ledger[gw_id].status for gw_id in ids] == ["accepted"] * 3
+    assert frontend.stats["dispatch_failures"] == 3
+
+
 def test_terminal_eviction_respects_retention_and_compacts(
     frontend_factory, monkeypatch
 ):
@@ -329,8 +344,8 @@ def test_terminal_eviction_respects_retention_and_compacts(
                payload=None, submit_key="k1")
     live = _accept_op("gw-00000002")["record"]
     with frontend._lock:
-        frontend.ledger.add("gw-00000001", old, "k1")
-        frontend.ledger.add("gw-00000002", live)
+        frontend.ledger.add(Job.from_dict(old))
+        frontend.ledger.add(Job.from_dict(live))
         frontend.ledger.finish("gw-00000001", old["terminal_at"])
     frontend._maintain_ledger()
     assert list(frontend.ledger) == ["gw-00000002"]  # accepted never evicted
@@ -375,7 +390,7 @@ def test_gateway_evicts_at_the_log_head_by_age_and_by_count(
     frontend._maintain_ledger()
     assert sorted(frontend.ledger) == sorted([live] + finished[2:])
     assert frontend.stats["evicted_terminal"] == 2
-    assert frontend.ledger[live]["status"] == "accepted"
+    assert frontend.ledger[live].status == "accepted"
 
 
 def test_gateway_submit_key_leaves_with_its_evicted_record(
@@ -417,9 +432,32 @@ def test_recovered_gateway_keeps_the_newest_terminal_records(
     assert frontend.stats["recovered"] == 6
     assert frontend.stats["evicted_terminal"] == 3
     assert frontend.ledger.find("k-gw-00000002") is None
-    assert frontend.ledger.find("k-gw-00000003")["id"] == "gw-00000003"
+    assert frontend.ledger.find("k-gw-00000003").id == "gw-00000003"
     assert frontend._pending == ["gw-00000006"]
     assert frontend._gw_next == 7
+
+
+def test_a_recovered_key_stays_with_its_newest_record(
+    frontend_factory, tmp_path, monkeypatch
+):
+    # The key's first record was evicted live and the key reused. Replay
+    # brings both back, and evicting the old one again must not take the
+    # key from the new one.
+    monkeypatch.setattr(jobs_module, "TERMINAL_RETENTION_MAX", 1)
+    wal = WriteAheadLog(tmp_path / "wal")
+    now = time.time()
+    for gw_id, key, age in (("gw-00000001", "k1", 20.0), ("gw-00000002", None, 10.0)):
+        wal.append(_accept_op(gw_id, submit_key=key))
+        wal.append({"op": "terminal", "id": gw_id, "status": "done",
+                    "profile_id": "p", "error": None, "at": now - age})
+    wal.append(_accept_op("gw-00000003", submit_key="k1"))
+    wal.close()
+
+    frontend = frontend_factory()
+    frontend._recover()
+    assert sorted(frontend.ledger) == ["gw-00000002", "gw-00000003"]
+    assert frontend.ledger.find("k1").id == "gw-00000003"
+    assert _accept(frontend, submit_key="k1") == "gw-00000003"
 
 
 def test_daemon_dedupes_submit_keys(tmp_path):

@@ -11,6 +11,11 @@ proofs, driven by Hypothesis:
   property covers clean boundaries, mid-frame tears, and mid-checksum
   tears alike.
 
+* **Recovery** — for any run of accepts, dispatches, finishes,
+  requeues and checkpoints, a gateway recovered from the WAL holds the
+  live gateway's records: the terminal ones unchanged, the others
+  requeued.
+
 * **Ring epochs** — for any membership change, every key has exactly
   one primary per epoch; mid-migration, the old-or-new read-owner union
   contains both the outgoing and incoming primary pair (so a read
@@ -18,8 +23,16 @@ proofs, driven by Hypothesis:
   being-filled owner); finalize collapses it back to the new ring.
 """
 
+import itertools
+import json
+import time
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from repro.serve import frontend as frontend_module
+from repro.serve.frontend import ServeFrontend
+from repro.serve.jobs import TERMINAL
 from repro.serve.router import ShardRouter, shard_key
 from repro.serve.wal import WriteAheadLog, _frame
 
@@ -89,6 +102,85 @@ def test_replay_survives_arbitrary_junk_tails(tmp_path_factory, records, junk):
     if junk.startswith(b"\n"):
         assert replayed[: len(records)] == records or replayed == records
     assert replayed == records[: len(replayed)]
+
+
+#: Gateway steps: an action and a number that picks its record, key,
+#: shard or scale.
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["accept", "keyed", "dispatch", "done", "error", "requeue", "checkpoint"]
+        ),
+        st.integers(min_value=0, max_value=11),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _drive(gateway, steps):
+    """Run ``steps`` on an unstarted gateway through its live paths."""
+    shard_job_ids = itertools.count(1)
+    for action, n in steps:
+        in_flight = [
+            (shard, job_id)
+            for shard, jobs in sorted(gateway._in_flight.items())
+            for job_id in jobs
+        ]
+        if action in ("accept", "keyed"):
+            payload = {"workload": "pprint", "mode": "cpu", "scale": 0.05 * (1 + n % 3)}
+            if action == "keyed":
+                payload["submit_key"] = f"k{n % 4}"
+            gateway._accept_job(json.dumps(payload).encode("utf-8"))
+        elif action == "dispatch" and gateway._pending:
+            # What _flush_pending does once the shard answers.
+            gw_id = gateway._pending.pop(n % len(gateway._pending))
+            gateway._record_dispatch(f"s{n % 2}", gw_id, f"job-{next(shard_job_ids)}")
+        elif action in ("done", "error") and in_flight:
+            shard, job_id = in_flight[n % len(in_flight)]
+            job = {"id": job_id, "status": action, "profile_id": None, "error": None}
+            job["profile_id" if action == "done" else "error"] = f"{action}-{job_id}"
+            gateway._apply_changes(
+                shard, {"full": False, "jobs": [job]}, time.monotonic()
+            )
+        elif action == "requeue":
+            # A restarted shard's full answer lists none of its jobs.
+            gateway._apply_changes(
+                f"s{n % 2}", {"full": True, "jobs": []}, time.monotonic()
+            )
+        elif action == "checkpoint":
+            gateway._maintain_ledger()
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=_steps)
+def test_a_recovered_ledger_is_the_live_one(tmp_path_factory, steps):
+    root = tmp_path_factory.mktemp("ledger-prop")
+    router = ShardRouter(_urls(2))
+    live = ServeFrontend(router, wal=root)
+    try:
+        with mock.patch.object(frontend_module, "_WAL_COMPACT_EVERY", 0):
+            _drive(live, steps)
+    finally:
+        live.kill()
+    recovered = ServeFrontend(router, wal=root)
+    try:
+        recovered._recover()
+        records = {gw_id: record.to_dict() for gw_id, record in live.ledger.items()}
+        assert sorted(recovered.ledger) == sorted(records)
+        unfinished = []
+        for gw_id, record in records.items():
+            if record["status"] not in TERMINAL:
+                unfinished.append(gw_id)
+                record.update(status="accepted", shard=None, shard_job_id=None)
+            assert recovered.ledger[gw_id].to_dict() == record
+        assert recovered._pending == sorted(unfinished)
+        for key in {record["submit_key"] for record in records.values()} - {None}:
+            assert recovered.ledger.find(key).id == live.ledger.find(key).id
+        dispatched = [r for r in live.ledger.values() if r.status == "dispatched"]
+        assert recovered.stats["recovered_requeued"] == len(dispatched)
+    finally:
+        recovered.stop()
 
 
 def _urls(n):
