@@ -86,7 +86,6 @@ class MemoryProfiler(ShimListener):
         self._sample_cost = config.sample_write_cost_ops * op_cost
         # What SimProcess.charge_overhead touches, for the inline charge.
         self._clock = process.clock
-        self._signals = process.signals
         self._ground_truth = process.ground_truth
         mem.shim.add_listener(self)
         self._saved_allocator = mem.hooks.get_allocator()
@@ -139,7 +138,7 @@ class MemoryProfiler(ShimListener):
         self.event_count += 1
         cost = self._alloc_cost
         if cost > 0:
-            self._clock.advance_cpu_inline(cost, self._signals)
+            self._clock.advance_cpu(cost)
             if thread is not None:
                 thread.cpu_time += cost
             if self._ground_truth is not None:
@@ -157,7 +156,7 @@ class MemoryProfiler(ShimListener):
         self.event_count += 1
         cost = self._free_cost
         if cost > 0:
-            self._clock.advance_cpu_inline(cost, self._signals)
+            self._clock.advance_cpu(cost)
             if thread is not None:
                 thread.cpu_time += cost
             if self._ground_truth is not None:

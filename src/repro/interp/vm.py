@@ -18,17 +18,16 @@ precompiled into *threaded entries* ``(kind, arg, lineno, churn, cache)``
 cached on the code object; hot opcodes dispatch on small-int kinds inside
 the loop, cold opcodes through a handler table. Per-op accounting is
 batched and flushed at every observation point (signal delivery, trace
-events, calls, returns, slice exits), and the pending-signal check is
-batched to a configurable quantum (``REPRO_EVAL_QUANTUM``) while timer
-expirations are detected exactly via cached deadlines — so every signal is
-still delivered at an opcode boundary, preserving the paper's semantics.
+events, calls, returns, slice exits). Timer expirations are detected per
+op via cached deadlines and the pending-signal check is batched to a
+quantum of ops, so every signal is still delivered at an opcode boundary,
+preserving the paper's semantics.
 """
 
 from __future__ import annotations
 
 import operator as host_operator
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.errors import SimRuntimeError, VMError
@@ -58,18 +57,12 @@ _CALL_PUSHED_FRAME = object()
 _MISSING = object()
 
 
-def _default_eval_quantum() -> int:
-    """Pending-signal check batching (ops), from ``REPRO_EVAL_QUANTUM``.
-
-    Timer expirations are detected exactly regardless of this value (via
-    cached deadlines); the quantum only bounds how many opcodes an
-    out-of-band ``raise_signal`` can wait before delivery.
-    """
-    raw = os.environ.get("REPRO_EVAL_QUANTUM", "8")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 8
+#: Ops between pending-signal checks (CPython's ``eval_breaker``
+#: batching). A timer deadline crossed by an op's own charge is polled and
+#: delivered at the next op boundary; a signal made pending inside an op
+#: body (by a profiler hook's charge or a native call's CPU time) or out
+#: of band (``raise_signal``) may wait up to this many ops.
+EVAL_QUANTUM = 8
 
 
 @dataclass
@@ -92,9 +85,6 @@ class VMConfig:
     churn_fifo_depth: int = 32
     #: Size of a frame object allocated per Python call.
     frame_object_bytes: int = 368
-    #: How many opcodes may execute between pending-signal checks (timer
-    #: deadlines are still honoured exactly; see DESIGN.md).
-    eval_quantum: int = field(default_factory=_default_eval_quantum)
     #: Fixed cost of one Python↔native boundary crossing, in units of
     #: ``op_cost``: argument parsing, calling-convention glue, and result
     #: boxing. Charged as native time on every native-library call (not on
@@ -454,9 +444,12 @@ class VM:
 
         The loop dispatches precompiled threaded entries (``_build_entries``)
         on small-int kinds with all per-instruction state hoisted into
-        locals. Clock advancement takes a fast path (direct slot updates)
-        when the SignalManager is the only clock observer; timer expiry is
-        then detected via cached deadlines, which is semantically identical
+        locals. Each op's charge advances the clock without polling the
+        timers: by direct slot writes, or through
+        :meth:`VirtualClock.advance_cpu_unpolled` when the clock has
+        observers or a fault injector. A deadline that charge crosses is
+        polled at the op's eval-breaker check and at every slice exit,
+        which is semantically identical to polling on every advance
         because timers depend only on absolute clock values. Per-op
         accounting (cpu_time, instruction_count, ground-truth Python time)
         is batched and flushed at every externally observable point.
@@ -470,7 +463,6 @@ class VM:
         gt_enabled = ground_truth is not None
         churn_enabled = config.churn_enabled
         op_cost = config.op_cost
-        quantum = config.eval_quantum
         builtins_get = process.builtins.get
         pending = signals._pending
         is_main = thread.is_main
@@ -482,9 +474,8 @@ class VM:
         churn_bytes = config.churn_object_bytes
         churn_depth = config.churn_fifo_depth
         fifo = thread.churn
-        # Fast clock path only when the SignalManager is the sole observer
-        # and no fault injector is attached (see VirtualClock._fast_path).
-        fast_clock = clock._fast_path
+        # Observers and clock-jump faults take the clock's method per op.
+        observed = clock._observed
 
         K_LOAD_NAME = _K_LOAD_NAME
         K_LOAD_CONST = _K_LOAD_CONST
@@ -544,7 +535,7 @@ class VM:
                     # ---- quantum breaker: batched pending-signal check ----
                     breaker -= 1
                     if breaker < 0:
-                        breaker = quantum
+                        breaker = EVAL_QUANTUM
                         if pending and is_main:
                             frame.pc = pc
                             frame.lasti = pc
@@ -588,15 +579,17 @@ class VM:
                             next_wall_dl = nwd if nwd < wall_deadline else wall_deadline
 
                     # ---- charge the interpreter cost of this instruction --
-                    if fast_clock:
+                    # (no poll: the eval breaker below polls a crossed
+                    # deadline, observed or not)
+                    if observed:
+                        clock.advance_cpu_unpolled(op_cost)
+                        cpu = clock._cpu
+                        wall = clock._wall
+                    else:
                         cpu = clock._cpu + op_cost
                         wall = clock._wall + op_cost
                         clock._cpu = cpu
                         clock._wall = wall
-                    else:
-                        clock.advance_cpu(op_cost)
-                        cpu = clock._cpu
-                        wall = clock._wall
                     ops_done += 1
                     if gt_enabled:
                         gt_ops += 1
@@ -699,8 +692,7 @@ class VM:
                             break  # re-hoist the callee frame
                         if isinstance(result, BlockRequest):
                             self._enter_block(thread, result)
-                            if fast_clock:
-                                signals.poll()
+                            signals.poll()
                             return BLOCKED
                         stack.append(result)
                         # Native code may have run long, armed timers, or
@@ -712,8 +704,7 @@ class VM:
                         next_cpu_dl, nwd = signals.next_deadlines()
                         next_wall_dl = nwd if nwd < wall_deadline else wall_deadline
                         if clock._wall >= wall_deadline:
-                            if fast_clock:
-                                signals.poll()
+                            signals.poll()
                             return PREEMPTED
                     elif kind == K_FOR_ITER:
                         value = next(stack[-1], _ITER_EXHAUSTED)
@@ -777,8 +768,7 @@ class VM:
                         if caller is None:
                             thread.result = retval
                             self.flush_churn(thread)
-                            if fast_clock:
-                                signals.poll()
+                            signals.poll()
                             return FINISHED
                         caller.stack.append(retval)
                         frame = caller
@@ -789,8 +779,7 @@ class VM:
                         next_cpu_dl, nwd = signals.next_deadlines()
                         next_wall_dl = nwd if nwd < wall_deadline else wall_deadline
                         if clock._wall >= wall_deadline:
-                            if fast_clock:
-                                signals.poll()
+                            signals.poll()
                             return PREEMPTED
                         break  # re-hoist the caller frame
                     elif kind == K_POP_TOP:
@@ -860,8 +849,7 @@ class VM:
                     gt_ops = 0
                 handler_frame = self._find_handler_frame(thread)
                 if handler_frame is None:
-                    if fast_clock:
-                        signals.poll()
+                    signals.poll()
                     raise  # uncaught: propagate with frames intact
                 self._unwind_to_handler(thread, handler_frame)
                 frame = thread.frame

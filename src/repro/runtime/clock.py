@@ -12,9 +12,11 @@ Because the simulated interpreter holds a GIL, at most one thread consumes
 CPU at any instant, so process CPU time is the sum of per-thread CPU times
 (per-thread accounting is kept by the scheduler on each thread object).
 
-Observers may subscribe to time advancement; the
-:class:`~repro.runtime.signals.SignalManager` uses this to expire interval
-timers at exactly the right virtual instant.
+The process's :class:`~repro.runtime.signals.SignalManager` registers as
+the clock's ``signals``; an advance that crosses one of its cached
+deadlines polls it, except the interpreter's per-op charge, whose
+eval-breaker check polls instead (DESIGN.md §6). Observers (out-of-process
+samplers) may subscribe to see every advance.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ from typing import Callable, List
 
 AdvanceCallback = Callable[[float, float], None]
 """Callback invoked as ``cb(wall_dt, cpu_dt)`` after every clock advance."""
+
+
+class _NoTimers:
+    """``signals`` of a clock no signal manager claimed: never crossed."""
+
+    cpu_deadline = wall_deadline = float("inf")
 
 
 class VirtualClock:
@@ -40,20 +48,19 @@ class VirtualClock:
     both invariants hold under any fault schedule.
     """
 
-    __slots__ = ("_wall", "_cpu", "_observers", "_faults", "_fast_path")
+    __slots__ = ("_wall", "_cpu", "_observers", "_faults", "_observed", "signals")
 
     def __init__(self) -> None:
         self._wall = 0.0
         self._cpu = 0.0
         self._observers: List[AdvanceCallback] = []
         self._faults = None
-        # Whether an advance may skip the observer dispatch (the VM's fast
-        # clock, advance_cpu_inline): the signal manager, subscribed at
-        # process construction, is the only observer, and no fault injector
-        # decides clock jumps. External samplers (py-spy/Austin baselines)
-        # subscribe and must see every advance. Kept current by subscribe,
-        # unsubscribe and the faults setter.
-        self._fast_path = True
+        # Whether an advance has observers to call or a jump to decide
+        # (kept current by subscribe, unsubscribe and the faults setter).
+        self._observed = False
+        #: The timers an advance polls when it crosses their cached
+        #: ``cpu_deadline``/``wall_deadline`` (a SignalManager sets itself).
+        self.signals = _NoTimers()
 
     @property
     def faults(self):
@@ -63,10 +70,7 @@ class VirtualClock:
     @faults.setter
     def faults(self, injector) -> None:
         self._faults = injector
-        self._update_fast_path()
-
-    def _update_fast_path(self) -> None:
-        self._fast_path = len(self._observers) <= 1 and self._faults is None
+        self._observed = bool(self._observers) or injector is not None
 
     # -- reading -----------------------------------------------------------
 
@@ -85,7 +89,7 @@ class VirtualClock:
     def subscribe(self, callback: AdvanceCallback) -> None:
         """Register ``callback(wall_dt, cpu_dt)`` to fire after advances."""
         self._observers.append(callback)
-        self._update_fast_path()
+        self._observed = True
 
     def unsubscribe(self, callback: AdvanceCallback) -> None:
         """Remove a previously registered observer (no-op if absent)."""
@@ -93,19 +97,32 @@ class VirtualClock:
             self._observers.remove(callback)
         except ValueError:
             pass
-        self._update_fast_path()
+        self._observed = bool(self._observers) or self._faults is not None
 
     # -- advancing ----------------------------------------------------------
 
     def advance_cpu(self, dt: float) -> None:
         """A thread executed on-CPU for ``dt`` seconds.
 
-        Advances both wall and CPU clocks.
+        Advances both wall and CPU clocks, then polls ``signals`` if a
+        deadline is crossed.
         """
-        if dt < 0:
-            raise ValueError(f"cannot advance clock by negative dt={dt}")
-        if dt == 0.0:
+        if dt <= 0.0:
+            if dt < 0:
+                raise ValueError(f"cannot advance clock by negative dt={dt}")
             return
+        if self._observed:
+            self.advance_cpu_unpolled(dt)
+        else:
+            self._cpu += dt
+            self._wall += dt
+        if self._cpu >= self.signals.cpu_deadline or self._wall >= self.signals.wall_deadline:
+            self.signals.poll()
+
+    def advance_cpu_unpolled(self, dt: float) -> None:
+        """:meth:`advance_cpu` by ``dt > 0`` without the timer poll: the
+        interpreter's per-op charge on an observed clock, whose crossed
+        deadlines its eval-breaker check polls."""
         wall_dt = dt
         if self._faults is not None:
             wall_dt += self._faults.clock_jump()
@@ -114,24 +131,11 @@ class VirtualClock:
         for cb in self._observers:
             cb(wall_dt, dt)
 
-    def advance_cpu_inline(self, dt: float, signals) -> None:
-        """:meth:`advance_cpu` for the process's ``signals`` manager, with
-        its observer call inlined on the fast path: advance both clocks and
-        poll ``signals`` only when a cached deadline is crossed. The clock
-        values and timer expirations are those of :meth:`advance_cpu`.
-        """
-        if not self._fast_path or dt <= 0:
-            self.advance_cpu(dt)
-            return
-        cpu = self._cpu = self._cpu + dt
-        wall = self._wall = self._wall + dt
-        if cpu >= signals.cpu_deadline or wall >= signals.wall_deadline:
-            signals.poll()
-
     def advance_wall(self, dt: float) -> None:
         """Wall time passed with no simulated CPU execution (IO wait, idle).
 
-        Advances the wall clock only.
+        Advances the wall clock only, then polls ``signals`` if a deadline
+        is crossed.
         """
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
@@ -143,6 +147,8 @@ class VirtualClock:
         self._wall += wall_dt
         for cb in self._observers:
             cb(wall_dt, 0.0)
+        if self._cpu >= self.signals.cpu_deadline or self._wall >= self.signals.wall_deadline:
+            self.signals.poll()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(wall={self._wall:.6f}, cpu={self._cpu:.6f})"

@@ -244,13 +244,13 @@ class SimProcess:
         Advances the virtual clocks (so timers keep firing on schedule,
         exactly as real profiler overhead perturbs timing) and books the
         time in the ground truth's overhead bucket rather than to any
-        program line. The charge runs once per profiler hook event, so the
-        clock advance inlines the signal manager's deadline check
-        (:meth:`VirtualClock.advance_cpu_inline`).
+        program line. A timer deadline the charge crosses is polled inside
+        :meth:`VirtualClock.advance_cpu`, so the signal is pending before
+        the hook returns.
         """
         if seconds <= 0:
             return
-        self.clock.advance_cpu_inline(seconds, self.signals)
+        self.clock.advance_cpu(seconds)
         if thread is not None:
             thread.cpu_time += seconds
         if self.ground_truth is not None:

@@ -70,8 +70,9 @@ class _IntervalTimer:
 class SignalManager:
     """Tracks interval timers, pending signals, and handler dispatch.
 
-    The manager subscribes to the process clock; the interpreter calls
-    :meth:`deliver_pending` at bytecode boundaries of the main thread.
+    The manager registers itself as its clock's ``signals``; the
+    interpreter calls :meth:`deliver_pending` at bytecode boundaries of
+    the main thread.
 
     It caches the earliest armed deadline of each time base
     (:attr:`cpu_deadline`, :attr:`wall_deadline`) and refreshes the cache
@@ -98,7 +99,7 @@ class SignalManager:
         #: ITIMER_PROF) and of ITIMER_REAL; ``inf`` when none is armed.
         self.cpu_deadline = _INF
         self.wall_deadline = _INF
-        clock.subscribe(self._on_advance)
+        clock.signals = self
 
     # -- configuration -------------------------------------------------------
 
@@ -148,11 +149,6 @@ class SignalManager:
             return self._clock.wall
         return self._clock.cpu
 
-    def _on_advance(self, wall_dt: float, cpu_dt: float) -> None:
-        clock = self._clock
-        if clock._cpu >= self.cpu_deadline or clock._wall >= self.wall_deadline:
-            self.poll()
-
     def _refresh_deadlines(self) -> None:
         cpu_dl = wall_dl = _INF
         for timer in self._timers.values():
@@ -169,9 +165,10 @@ class SignalManager:
 
         Timer state depends only on the clock's *absolute* time bases, so
         polling at arbitrary points is semantically identical to polling on
-        every clock advance. Every caller (the clock observer, the
-        interpreter's fast path, ``VirtualClock.advance_cpu_inline``)
-        therefore polls only when a cached deadline has been crossed.
+        every clock advance. The clock's advances and the interpreter's
+        eval-breaker check therefore poll only when a cached deadline has
+        been crossed; the interpreter's slice exits poll unconditionally,
+        catching up a deadline its last op crossed.
         """
         faults = self.faults
         for timer in self._timers.values():

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import FaultError
 from repro.faults import FaultInjector, FaultSpec, apply_fault_counters
 from repro.serve.healing import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, RetryPolicy
+from repro.workloads import pyperf_suite
 
 
 # -- FaultSpec -------------------------------------------------------------
@@ -294,6 +295,50 @@ def test_process_install_faults_threads_everywhere():
     assert process.clock.faults is injector
     assert process.signals.faults is injector
     assert process.mem.faults is injector
+
+
+# -- a harmless fault schedule ----------------------------------------------
+#
+# A clock with an observer or an injector advances through its observer
+# path, which must deliver each timer signal at the op boundary an
+# unobserved clock does: a line's python/native split rests on that
+# boundary (signal-delay inference, §2.1).
+
+
+def _cpu_profile_sha(name: str, leg: str) -> str:
+    import hashlib
+
+    from repro.core import Scalene
+
+    process = pyperf_suite()[name].make_process(0.05)
+    if leg == "observer":
+        process.clock.subscribe(lambda wall_dt, cpu_dt: None)
+    elif leg == "faults":
+        process.install_faults(FaultInjector(FaultSpec(seed=1)))
+    scalene = Scalene(process, mode="cpu")
+    scalene.start()
+    process.run()
+    return hashlib.sha256(scalene.stop().to_json().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(pyperf_suite()))
+def test_observer_or_empty_fault_schedule_keeps_the_cpu_profile(name):
+    """A no-op clock observer and an injector whose every rate is 0
+    leave each Table-1 program's ``cpu``-mode profile byte-identical."""
+    plain = _cpu_profile_sha(name, "plain")
+    assert _cpu_profile_sha(name, "observer") == plain
+    assert _cpu_profile_sha(name, "faults") == plain
+
+
+def test_retry_after_an_injected_crash_keeps_the_profile():
+    """The attempt after a scheduled worker crash runs with the injector
+    attached but no runtime fault enabled: its profile is not degraded,
+    so it must equal the same job's profile without ``faults``."""
+    from repro.serve.jobs import execute_job
+
+    job = {"workload": "raytrace", "mode": "cpu", "scale": 0.02}
+    retried = execute_job({**job, "faults": {"crash_attempts": 1}, "attempt": 2})
+    assert retried == execute_job(job)
 
 
 # -- RetryPolicy -----------------------------------------------------------

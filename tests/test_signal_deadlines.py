@@ -1,13 +1,13 @@
 """The signal manager's deadline cache against a poll-on-every-advance reference.
 
-``SignalManager`` caches the earliest armed CPU and wall deadlines and
-scans its timers only when an advance crosses one; ``SimProcess.
-charge_overhead`` advances the clock through ``VirtualClock.
-advance_cpu_inline``, which on the clock's fast path compares against the
-same cache without the observer call. The reference below is the
-behaviour both replaced: every clock advance scans every timer. Seeded
-sequences of timer, clock, signal and overhead operations must leave the
-two in the same state after every step, with and without a fault injector.
+``SignalManager`` caches the earliest armed CPU and wall deadlines, and
+every ``VirtualClock.advance_cpu``/``advance_wall`` (``SimProcess.
+charge_overhead`` included) scans the timers only when the advance
+crosses one, whether the clock is observed or not. The reference below
+is the behaviour the cache replaced: an observer that scans every timer
+on every clock advance. Seeded sequences of timer, clock, signal and
+overhead operations must leave the two in the same state after every
+step, with and without a fault injector.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ KINDS = (Timers.ITIMER_REAL, Timers.ITIMER_VIRTUAL, Timers.ITIMER_PROF)
 SIGNALS = (SIGALRM, SIGVTALRM, SIGPROF)
 
 
-class PollEveryAdvance(SignalManager):
-    """The reference: a full timer scan on every clock advance."""
-
-    def _on_advance(self, wall_dt: float, cpu_dt: float) -> None:
-        self.poll()
-
-
 def _reference(spec):
+    """The reference: a subscribed observer runs a full timer scan on
+    every clock advance."""
     clock = VirtualClock()
-    signals = PollEveryAdvance(clock)
+    signals = SignalManager(clock)
+    clock.subscribe(lambda wall_dt, cpu_dt: signals.poll())
     if spec is not None:
         injector = FaultInjector(spec)
         clock.faults = injector
@@ -43,11 +39,11 @@ def _reference(spec):
 def _subject(spec, fault_mode):
     process = SimProcess()
     if fault_mode == "process":
-        # Clock, signals and memory share the injector: the clock leaves
-        # its fast path and every advance runs the observer.
+        # Clock, signals and memory share the injector: every advance
+        # asks it for a jump.
         process.install_faults(FaultInjector(spec))
     elif fault_mode == "signals":
-        # Timer faults only: charges stay on the clock's fast path.
+        # Timer faults only: the clock stays unobserved.
         process.signals.faults = FaultInjector(spec)
     return process
 
@@ -109,7 +105,7 @@ def test_deadline_cache_matches_poll_every_advance(ops, fault_mode, spec):
     process = _subject(spec, fault_mode)
     subject_clock, subject = process.clock, process.signals
     clock, reference = _reference(spec if fault_mode else None)
-    assert subject_clock._fast_path == (fault_mode != "process")
+    assert subject_clock._observed == (fault_mode == "process")
     for signals in (subject, reference):
         for signum in SIGNALS:
             signals.set_handler(signum, lambda signum: None)
@@ -163,19 +159,27 @@ def test_cache_follows_rearm_disarm_and_clear():
 def test_clock_fast_path_follows_observers_and_faults():
     process = SimProcess()
     clock = process.clock
-    assert clock._fast_path
+    assert clock.signals is process.signals
+    assert not clock._observed
     seen = []
 
     def observer(wall_dt, cpu_dt):
         seen.append(cpu_dt)
 
     clock.subscribe(observer)
-    assert not clock._fast_path
+    assert clock._observed
+    process.signals.setitimer(Timers.ITIMER_VIRTUAL, 0.001)
     process.charge_overhead(process.main_thread, 0.001)
     assert seen == [0.001]  # an external sampler sees every charge
+    assert process.signals.has_pending  # and the charge polled the timer
     clock.unsubscribe(observer)
-    assert clock._fast_path
+    assert not clock._observed
     clock.faults = FaultInjector(FaultSpec(seed=1))
-    assert not clock._fast_path
+    assert clock._observed
     clock.faults = None
-    assert clock._fast_path
+    assert not clock._observed
+    # A clock no signal manager claimed polls nothing.
+    bare = VirtualClock()
+    bare.advance_cpu(1.0)
+    bare.advance_wall(1.0)
+    assert (bare.cpu, bare.wall) == (1.0, 2.0)

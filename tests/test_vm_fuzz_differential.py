@@ -22,6 +22,7 @@ from typing import Optional
 import pytest
 
 from repro.core.scalene import Scalene
+from repro.faults import FaultInjector, FaultSpec
 from repro.runtime.process import SimProcess
 
 from .conftest import generate_program, generate_threaded_program
@@ -91,15 +92,32 @@ def test_fuzzed_program_matches_host(seed):
 # through the compile cache, and with them the threaded entries and the
 # inline caches an earlier run filled in (DESIGN.md §6). Whether a run
 # starts cold or warm must not change anything it or its profile shows.
+#
+# Nor may anything that watches the clock without acting on the program:
+# a clock with an observer or a fault injector advances through its
+# observer path, which must poll timers at the same op boundaries.
 
 #: How a profiled run obtains its code object, in run order: compiled for
 #: this run alone, with the compile cache off (cold inline caches); from
 #: the cache; and from the cache again, warmed by the run before.
 CODE_PATHS = ("fresh", "cached", "warm")
 
+#: Harmless attachments to the clock, each run once more on cached code:
+#: a no-op observer (what an out-of-process sampler subscribes), and a
+#: fault injector whose every rate is 0.
+CLOCK_LEGS = ("observer", "faults")
 
-def run_profiled(source: str, *, cached: bool, threaded: bool = False, mode: str = "cpu"):
-    """Run ``source`` under Scalene in ``mode``.
+
+def run_profiled(
+    source: str,
+    *,
+    cached: bool,
+    threaded: bool = False,
+    mode: str = "cpu",
+    leg: Optional[str] = None,
+):
+    """Run ``source`` under Scalene in ``mode``, with the ``leg`` of
+    :data:`CLOCK_LEGS` attached if given.
 
     Returns the code object the run executed and every observable the
     equivalence covers: program stdout, the scheduler's context-switch
@@ -113,6 +131,10 @@ def run_profiled(source: str, *, cached: bool, threaded: bool = False, mode: str
         from repro.interp.libs import install_standard_libraries
 
         install_standard_libraries(process)
+    if leg == "observer":
+        process.clock.subscribe(lambda wall_dt, cpu_dt: None)
+    elif leg == "faults":
+        process.install_faults(FaultInjector(FaultSpec(seed=1)))
     profiler = Scalene(process, mode=mode)
     profiler.start()
     process.run()
@@ -126,7 +148,8 @@ def run_profiled(source: str, *, cached: bool, threaded: bool = False, mode: str
     )
 
 
-def assert_code_paths_identical(source: str, *, threaded: bool = False, mode: str = "cpu"):
+def assert_runs_identical(source: str, *, threaded: bool = False, mode: str = "cpu"):
+    """Every code path and every clock leg matches the plain fresh run."""
     codes, results = {}, {}
     for path in CODE_PATHS:
         codes[path], results[path] = run_profiled(
@@ -134,10 +157,14 @@ def assert_code_paths_identical(source: str, *, threaded: bool = False, mode: st
         )
     assert codes["warm"] is codes["cached"], "the warm run did not reuse the cached code"
     assert codes["fresh"] is not codes["cached"]
+    for leg in CLOCK_LEGS:
+        _, results[leg] = run_profiled(
+            source, cached=True, threaded=threaded, mode=mode, leg=leg
+        )
     baseline = results["fresh"]
     for path, result in results.items():
         assert result == baseline, (
-            f"{path!r} code object diverged from a fresh compile\n"
+            f"{path!r} run diverged from a plain fresh one\n"
             f"--- program ---\n{source}\n"
             f"fresh: switches={baseline[1]} cpu={baseline[3]!r} wall={baseline[4]!r}\n"
             f"{path}: switches={result[1]} cpu={result[3]!r} wall={result[4]!r}\n"
@@ -148,23 +175,26 @@ def assert_code_paths_identical(source: str, *, threaded: bool = False, mode: st
 
 @pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + NUM_SEEDS))
 def test_tier_equivalence(seed):
-    """Fresh, cached and warm code objects produce bit-identical stdout,
+    """Fresh, cached and warm code objects, and runs with a no-op clock
+    observer or an empty fault schedule, produce bit-identical stdout,
     schedule, profile JSON and clocks on every fuzzed program."""
-    assert_code_paths_identical(generate_program(seed))
+    assert_runs_identical(generate_program(seed))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_tier_equivalence_threaded(seed):
     """The threaded/async grammar: preemption points and the deterministic
-    schedule do not depend on whether inline caches start cold or warm."""
-    assert_code_paths_identical(generate_threaded_program(seed), threaded=True)
+    schedule do not depend on whether inline caches start cold or warm,
+    nor on a clock observer or an empty fault schedule."""
+    assert_runs_identical(generate_threaded_program(seed), threaded=True)
 
 
 @pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + NUM_FULL_MODE_SEEDS))
 def test_tier_equivalence_full_mode(seed):
     """With memory hooks installed (mode=full), per-line memory
-    attribution is bit-identical on cold and warm code objects."""
-    assert_code_paths_identical(generate_program(seed), mode="full")
+    attribution is bit-identical on cold and warm code objects, and
+    with a clock observer or an empty fault schedule."""
+    assert_runs_identical(generate_program(seed), mode="full")
 
 
 def test_generator_is_deterministic():
